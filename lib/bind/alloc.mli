@@ -42,9 +42,6 @@ val count : t -> int
 val compatible : inst -> op_kind:Dfg.op_kind -> width:int -> bool
 (** The instance's kind can execute the op and its width suffices. *)
 
-val candidates : t -> op_kind:Dfg.op_kind -> width:int -> inst list
-(** All compatible instances, slowest grade first (cheapest-first policy). *)
-
 val set_grade : t -> Inst_id.t -> delay:float -> unit
 (** Re-grade to the requested delay (snapped per the grading mode). *)
 

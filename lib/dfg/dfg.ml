@@ -69,11 +69,16 @@ type t = {
   mutable adj : adj option; (* invalidated on mutation *)
 }
 
+(* Derived views of [ops_v]/[deps], built on first use and dropped (with
+   [adj <- None]) by every mutation.  The lists are handed out as they are,
+   so the per-op queries allocate nothing. *)
 and adj = {
-  fwd_succ : int list array;
-  fwd_pred : int list array;
-  all_succ : (int * bool) list array;
-  all_pred : (int * bool) list array;
+  op_ids : Op_id.t list;
+  fwd_succ : Op_id.t list array;
+  fwd_pred : Op_id.t list array;
+  all_succ : (Op_id.t * bool) list array;
+  all_pred : (Op_id.t * bool) list array;
+  mutable topo : Op_id.t list option;  (* forward topological order *)
 }
 
 exception Malformed of string
@@ -111,7 +116,6 @@ let add_dep t ~src ~dst ?(loop_carried = false) () =
   ignore (Vec.push t.deps { src = s; dst = d; loop_carried });
   t.adj <- None
 
-let ops t = List.init (op_count t) Op_id.of_int
 let iter_ops t f = Vec.iter f t.ops_v
 
 let adjacency t =
@@ -125,25 +129,24 @@ let adjacency t =
     let ds = Vec.to_array t.deps in
     for i = Array.length ds - 1 downto 0 do
       let { src; dst; loop_carried } = ds.(i) in
-      all_succ.(src) <- (dst, loop_carried) :: all_succ.(src);
-      all_pred.(dst) <- (src, loop_carried) :: all_pred.(dst);
+      let s = Op_id.of_int src and d = Op_id.of_int dst in
+      all_succ.(src) <- (d, loop_carried) :: all_succ.(src);
+      all_pred.(dst) <- (s, loop_carried) :: all_pred.(dst);
       if not loop_carried then begin
-        fwd_succ.(src) <- dst :: fwd_succ.(src);
-        fwd_pred.(dst) <- src :: fwd_pred.(dst)
+        fwd_succ.(src) <- d :: fwd_succ.(src);
+        fwd_pred.(dst) <- s :: fwd_pred.(dst)
       end
     done;
-    let a = { fwd_succ; fwd_pred; all_succ; all_pred } in
+    let op_ids = List.init n Op_id.of_int in
+    let a = { op_ids; fwd_succ; fwd_pred; all_succ; all_pred; topo = None } in
     t.adj <- Some a;
     a
 
-let preds t id = List.map Op_id.of_int (adjacency t).fwd_pred.(Op_id.to_int id)
-let succs t id = List.map Op_id.of_int (adjacency t).fwd_succ.(Op_id.to_int id)
-
-let all_preds t id =
-  List.map (fun (i, lc) -> (Op_id.of_int i, lc)) (adjacency t).all_pred.(Op_id.to_int id)
-
-let all_succs t id =
-  List.map (fun (i, lc) -> (Op_id.of_int i, lc)) (adjacency t).all_succ.(Op_id.to_int id)
+let ops t = (adjacency t).op_ids
+let preds t id = (adjacency t).fwd_pred.(Op_id.to_int id)
+let succs t id = (adjacency t).fwd_succ.(Op_id.to_int id)
+let all_preds t id = (adjacency t).all_pred.(Op_id.to_int id)
+let all_succs t id = (adjacency t).all_succ.(Op_id.to_int id)
 
 exception Cyclic of Op_id.t list
 
@@ -155,14 +158,18 @@ let fwd_digraph t =
   for _ = 1 to op_count t do
     ignore (Digraph.add_node g)
   done;
-  Array.iteri (fun u succs -> List.iter (fun v -> Digraph.add_edge g u v) succs) a.fwd_succ;
+  Array.iteri
+    (fun u succs -> List.iter (fun v -> Digraph.add_edge g u (Op_id.to_int v)) succs)
+    a.fwd_succ;
   g
 
 let forward_cycle t =
   Option.map (List.map Op_id.of_int) (Traverse.find_cycle (fwd_digraph t))
 
-let topo_order t =
-  let a = adjacency t in
+(* Kahn's algorithm; the order is cached with the adjacency (so any
+   mutation drops it).  A cyclic graph is never cached: every call
+   raises. *)
+let compute_topo t a =
   let n = op_count t in
   let indeg = Array.make n 0 in
   for v = 0 to n - 1 do
@@ -179,6 +186,7 @@ let topo_order t =
     order := u :: !order;
     List.iter
       (fun v ->
+        let v = Op_id.to_int v in
         indeg.(v) <- indeg.(v) - 1;
         if indeg.(v) = 0 then Queue.add v queue)
       a.fwd_succ.(u)
@@ -186,6 +194,15 @@ let topo_order t =
   if !count <> n then
     raise (Cyclic (match forward_cycle t with Some path -> path | None -> []));
   List.rev_map Op_id.of_int !order
+
+let topo_order t =
+  let a = adjacency t in
+  match a.topo with
+  | Some order -> order
+  | None ->
+    let order = compute_topo t a in
+    a.topo <- Some order;
+    order
 
 let cycle_message t path =
   Printf.sprintf "forward dependencies are cyclic: %s"
@@ -246,13 +263,15 @@ let compute_spans ?(pin = fun _ -> None) t =
           if o.fixed || is_const o then o.birth
           else begin
             let ps =
-              List.filter (fun p -> not (is_const (Vec.get t.ops_v p))) a.fwd_pred.(i)
+              List.filter
+                (fun p -> not (is_const (Vec.get t.ops_v (Op_id.to_int p))))
+                a.fwd_pred.(i)
             in
             if ps = [] then o.birth
             else begin
               let ok e =
                 Cfg.edge_dominates cfg e o.birth
-                && List.for_all (fun p -> Cfg.reaches cfg (get_early p) e) ps
+                && List.for_all (fun p -> Cfg.reaches cfg (get_early (Op_id.to_int p)) e) ps
               in
               match List.find_opt ok edges_topo with
               | Some e -> e
@@ -281,7 +300,7 @@ let compute_spans ?(pin = fun _ -> None) t =
             let ss = a.fwd_succ.(i) in
             let ok e =
               Cfg.sink_reaches cfg o.birth e
-              && List.for_all (fun s -> Cfg.reaches cfg e (get_late s)) ss
+              && List.for_all (fun s -> Cfg.reaches cfg e (get_late (Op_id.to_int s))) ss
             in
             match List.find_opt ok (List.rev edges_topo) with
             | Some e -> e

@@ -318,18 +318,16 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
         (groups config.sharing dfg);
       alloc
     in
-    (* Per-edge re-budgeting hook (slack flow). *)
-    let rebudget =
+    (* After-edge work: the slack flow respans and, unless ablated,
+       re-budgets on the respanned graph. *)
+    let after_edge =
       match (flow, config.rebudget_config) with
+      | Slack_based, None -> Sched_core.Respan
       | Slack_based, Some bcfg ->
-        Some
-          (fun sched pin ->
-            let unplaced =
-              List.filter (fun o -> not (Schedule.is_placed sched o)) ops
-            in
-            if unplaced <> [] then begin
+        Sched_core.Respan_and_rebudget
+          (fun sched spans' ->
+            if List.exists (fun o -> not (Schedule.is_placed sched o)) ops then begin
               poll "rebudget";
-              let spans' = Dfg.compute_spans ~pin dfg in
               match Timed_dfg.build dfg ~spans:spans' with
               | exception Timed_dfg.Unrealizable _ -> ()
               | tdfg' ->
@@ -375,7 +373,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
                   Obs.observe d_edge_waste (100.0 *. Attrib.wasted_ratio tt)
                 end
             end)
-      | (Conventional | Slowest_first | Slack_based), _ -> None
+      | (Conventional | Slowest_first), _ -> Sched_core.Keep_spans
     in
     let make_params alloc =
       ignore alloc;
@@ -385,8 +383,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
         priority = (fun o -> priorities.(Dfg.Op_id.to_int o));
         target = eff_target;
         upgrade_on_miss = (match flow with Conventional -> false | _ -> true);
-        respan = (match flow with Slack_based -> true | _ -> false);
-        rebudget;
+        after_edge;
       }
     in
     (* Relaxation loop (the paper's expert system, resource additions plus

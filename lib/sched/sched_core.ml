@@ -8,21 +8,34 @@ type failure = { reason : failure_reason; message : string }
 
 let pp_failure ppf f = Format.pp_print_string ppf f.message
 
+type after_edge =
+  | Keep_spans
+  | Respan
+  | Respan_and_rebudget of (Schedule.t -> Dfg.span array -> unit)
+
 type params = {
   clock : float;
   ii : int option;
   priority : Dfg.Op_id.t -> float;
   target : Dfg.Op_id.t -> float;
   upgrade_on_miss : bool;
-  respan : bool;
-  rebudget : (Schedule.t -> (Dfg.Op_id.t -> Cfg.Edge_id.t option) -> unit) option;
+  after_edge : after_edge;
 }
 
 exception Fail of failure
 
 let eps = 1e-6
 
-type attempt = Placed | Defer of failure_reason
+(* Why a placement attempt was deferred.  Most deferrals are transient
+   (the op is retried on a later edge of its span), so the blame walk that
+   a failure report needs is only done when a deferral on the last span
+   edge turns into a failure ([reason_of] in [run]). *)
+type defer =
+  | Busy of Resource_kind.t * int  (** every compatible instance is booked *)
+  | Slow of float  (** no instance fits this window *)
+  | Starved  (** the ready time leaves no window *)
+
+type attempt = Placed | Defer of defer
 
 (* Telemetry (paper §VI, Fig. 8): per-CFG-edge scheduler events.  Deferral
    counters split by reason so a failing run's event stream shows whether
@@ -41,10 +54,9 @@ let c_failures = Obs.counter "sched.failures"
 let c_retime_repairs = Obs.counter "sched.retime_repairs"
 
 let count_defer = function
-  | No_resource _ -> Obs.incr c_defer_res
-  | Too_slow _ -> Obs.incr c_defer_slow
-  | No_time _ -> Obs.incr c_defer_time
-  | Retime_failed _ -> ()
+  | Busy _ -> Obs.incr c_defer_res
+  | Slow _ -> Obs.incr c_defer_slow
+  | Starved -> Obs.incr c_defer_time
 
 let run dfg ~alloc params =
   Obs.incr c_runs;
@@ -55,12 +67,30 @@ let run dfg ~alloc params =
     Option.map (fun p -> p.Schedule.edge) (Schedule.placement sched o)
   in
   let spans = ref (Dfg.compute_spans dfg) in
-  let fanin : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let fanin_of id =
-    Option.value ~default:0 (Hashtbl.find_opt fanin (Alloc.Inst_id.to_int id))
-  in
+  (* Ops bound to each instance so far (instances are not added during a
+     pass). *)
+  let fanin = Array.make (Alloc.count alloc) 0 in
+  let fanin_of id = fanin.(Alloc.Inst_id.to_int id) in
   let active o =
     match (Dfg.op dfg o).Dfg.kind with Dfg.Const _ -> false | _ -> true
+  in
+  let active_ops = List.filter active (Dfg.ops dfg) in
+  let topo = Dfg.topo_order dfg in
+  (* Compatible instances per (kind, width), in instance order; grades
+     change during the pass, so each placement sorts afresh. *)
+  let compat = Hashtbl.create 8 in
+  let compatible_insts (op : Dfg.op) =
+    let key = (op.Dfg.kind, op.Dfg.width) in
+    match Hashtbl.find_opt compat key with
+    | Some l -> l
+    | None ->
+      let l =
+        List.filter
+          (fun i -> Alloc.compatible i ~op_kind:op.Dfg.kind ~width:op.Dfg.width)
+          (Alloc.instances alloc)
+      in
+      Hashtbl.add compat key l;
+      l
   in
   let span_of o = (!spans).(Dfg.Op_id.to_int o) in
   let mux_pen inputs = Library.mux_delay (Alloc.library alloc) ~inputs in
@@ -141,17 +171,21 @@ let run dfg ~alloc params =
     let op = Dfg.op dfg o in
     let rt = ready_time o step in
     let window = budget -. rt in
-    if window < -.eps then Defer (No_time { op = o; blame = blame_for o step })
+    if window < -.eps then Defer Starved
     else begin
       let rk =
         match Resource_kind.of_op_kind op.Dfg.kind with
         | Some rk -> rk
         | None -> assert false (* constants never reach try_place *)
       in
-      let candidates = Alloc.candidates alloc ~op_kind:op.Dfg.kind ~width:op.Dfg.width in
-      let free = List.filter (fun c -> not (Schedule.conflicts sched c.Alloc.id ~edge:e)) candidates in
+      let free =
+        List.filter
+          (fun c -> not (Schedule.conflicts sched c.Alloc.id ~edge:e))
+          (compatible_insts op)
+      in
       (* Cheapest (slowest) grade first; among equal grades prefer the
-         emptiest instance so sharing — and its mux penalty — spreads. *)
+         emptiest instance so sharing — and its mux penalty — spreads;
+         then instance order. *)
       let free =
         List.stable_sort
           (fun a b ->
@@ -165,10 +199,14 @@ let run dfg ~alloc params =
       let do_place c =
         let eff = eff_of c in
         Schedule.place sched o ~edge:e ~start:rt ~eff_delay:eff ~inst:(Some c.Alloc.id);
-        Hashtbl.replace fanin
-          (Alloc.Inst_id.to_int c.Alloc.id)
-          (fanin_of c.Alloc.id + 1);
+        let k = Alloc.Inst_id.to_int c.Alloc.id in
+        fanin.(k) <- fanin.(k) + 1;
         Placed
+      in
+      let miss () =
+        if free = [] then Defer (Busy (rk, op.Dfg.width))
+        else if window <= eps then Defer Starved
+        else Defer (Slow window)
       in
       match fitting with
       | _ :: _ ->
@@ -191,10 +229,7 @@ let run dfg ~alloc params =
               free
           in
           match viable with
-          | [] ->
-            if free = [] then Defer (No_resource { op = o; rk; width = op.Dfg.width })
-            else if window <= eps then Defer (No_time { op = o; blame = blame_for o step })
-            else Defer (Too_slow { op = o; window; blame = blame_for o step })
+          | [] -> miss ()
           | _ :: _ ->
             (* Upgrade the instance whose area damage is smallest. *)
             let cost c =
@@ -216,12 +251,10 @@ let run dfg ~alloc params =
                 Obs.incr c_upgrades;
                 do_place c
               end
-              else Defer (Too_slow { op = o; window; blame = blame_for o step })
-            | None -> Defer (Too_slow { op = o; window; blame = blame_for o step }))
+              else Defer (Slow window)
+            | None -> Defer (Slow window))
         end
-        else if free = [] then Defer (No_resource { op = o; rk; width = op.Dfg.width })
-        else if window <= eps then Defer (No_time { op = o; blame = blame_for o step })
-        else Defer (Too_slow { op = o; window; blame = blame_for o step })
+        else miss ()
     end
   in
   let try_place o e step =
@@ -229,9 +262,14 @@ let run dfg ~alloc params =
     | Placed ->
       Obs.incr c_placements;
       Placed
-    | Defer reason as d ->
-      count_defer reason;
-      d
+    | Defer d as a ->
+      count_defer d;
+      a
+  in
+  let reason_of o step = function
+    | Busy (rk, width) -> No_resource { op = o; rk; width }
+    | Slow window -> Too_slow { op = o; window; blame = blame_for o step }
+    | Starved -> No_time { op = o; blame = blame_for o step }
   in
   let fail op_name reason =
     let message =
@@ -274,9 +312,8 @@ let run dfg ~alloc params =
           progress := false;
           Obs.incr c_sweeps;
           let ready =
-            Dfg.ops dfg
-            |> List.filter (fun o ->
-                   active o && (not (Schedule.is_placed sched o)) && ready_on o e step)
+            active_ops
+            |> List.filter (fun o -> (not (Schedule.is_placed sched o)) && ready_on o e step)
             |> List.sort (fun a b ->
                    (* Ops whose span ends here go first, then by priority. *)
                    let late_idx o = Cfg.edge_topo_index cfg (span_of o).Dfg.late in
@@ -311,36 +348,14 @@ let run dfg ~alloc params =
               && (not (Schedule.is_placed sched o))
               && Cfg.Edge_id.equal (span_of o).Dfg.late e
             then begin
-              match
-                if ready_on o e step then try_place o e step
-                else Defer (No_time { op = o; blame = blame_for o step })
-              with
+              match if ready_on o e step then try_place o e step else Defer Starved with
               | Placed ->
                 incr placed_here;
                 (* Span-end forced placement: the op was the only candidate. *)
                 if ev_on () then emit_pick o e step ~ready_set_size:1
-              | Defer reason ->
-                if Sys.getenv_opt "HLS_DEBUG" <> None then begin
-                  let sp = span_of o in
-                  Printf.eprintf "DEBUG fail %s at e%d step %d: span e%d..e%d rt=%.1f ready=%b\n"
-                    (Dfg.op dfg o).Dfg.name (Cfg.Edge_id.to_int e) step
-                    (Cfg.Edge_id.to_int sp.Dfg.early) (Cfg.Edge_id.to_int sp.Dfg.late)
-                    (ready_time o step) (ready_on o e step);
-                  List.iter
-                    (fun pr ->
-                      match Schedule.placement sched pr with
-                      | Some pp ->
-                        Printf.eprintf "  pred %s: e%d step %d %.1f..%.1f\n"
-                          (Dfg.op dfg pr).Dfg.name (Cfg.Edge_id.to_int pp.Schedule.edge)
-                          pp.Schedule.step pp.Schedule.start
-                          (pp.Schedule.start +. pp.Schedule.eff_delay)
-                      | None ->
-                        Printf.eprintf "  pred %s: UNPLACED\n" (Dfg.op dfg pr).Dfg.name)
-                    (Dfg.preds dfg o)
-                end;
-                fail (Dfg.op dfg o).Dfg.name reason
+              | Defer d -> fail (Dfg.op dfg o).Dfg.name (reason_of o step d)
             end)
-          (Dfg.topo_order dfg);
+          topo;
         if ev_on () then
           Obs.Events.emit
             (Obs.Events.Edge_scheduled
@@ -350,18 +365,23 @@ let run dfg ~alloc params =
                  placed = !placed_here;
                  deferred = !deferred_here;
                });
-        if params.respan then begin
+        let respan () =
           Obs.incr c_respans;
           spans := Dfg.compute_spans ~pin dfg
-        end;
-        match params.rebudget with Some f -> f sched pin | None -> ())
+        in
+        match params.after_edge with
+        | Keep_spans -> ()
+        | Respan -> respan ()
+        | Respan_and_rebudget rebudget ->
+          respan ();
+          Obs.span "sched.rebudget" (fun () -> rebudget sched !spans))
       (Cfg.forward_edges_topo cfg);
     (* Everything must be placed by now. *)
     List.iter
       (fun o ->
-        if active o && not (Schedule.is_placed sched o) then
+        if not (Schedule.is_placed sched o) then
           fail (Dfg.op dfg o).Dfg.name (No_time { op = o; blame = None }))
-      (Dfg.ops dfg);
+      active_ops;
     (* Final retiming with exact mux fan-ins.  Binding charged each op a
        fan-in-at-bind-time penalty; later arrivals on the same instance can
        push earlier chains past the budget.  Repair by speeding up the

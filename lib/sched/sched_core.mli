@@ -9,10 +9,10 @@
     if the current edge is the {e last} of its span, the pass fails with a
     diagnosis that drives the relaxation loop.
 
-    After every edge, optional hooks recompute operation spans with the
-    placements pinned and re-run slack budgeting (paper Schedule_pass
-    steps c-d) — sharing merges critical paths, so criticality must be
-    refreshed. *)
+    After every edge, the pass can recompute operation spans with the
+    placements pinned and then re-run slack budgeting on them (paper
+    Schedule_pass steps c-d) — sharing merges critical paths, so
+    criticality must be refreshed. *)
 
 type failure_reason =
   | No_resource of { op : Dfg.Op_id.t; rk : Resource_kind.t; width : int }
@@ -32,6 +32,15 @@ type failure = { reason : failure_reason; message : string }
 
 val pp_failure : Format.formatter -> failure -> unit
 
+(** What the pass does after scheduling each CFG edge.  Re-budgeting
+    needs the freshly pinned spans, so it only comes with respanning. *)
+type after_edge =
+  | Keep_spans
+  | Respan  (** recompute spans with the placements so far pinned *)
+  | Respan_and_rebudget of (Schedule.t -> Dfg.span array -> unit)
+      (** respan, then call the hook with the new spans (inside a
+          [sched.rebudget] span) *)
+
 type params = {
   clock : float;
   ii : int option;
@@ -47,10 +56,7 @@ type params = {
   upgrade_on_miss : bool;
       (** speed up an existing instance when nothing fits (slowest-first
           and slack-based flows) *)
-  respan : bool;
-      (** recompute spans with pinned placements after every edge *)
-  rebudget : (Schedule.t -> (Dfg.Op_id.t -> Cfg.Edge_id.t option) -> unit) option;
-      (** after-edge hook: re-run budgeting with the given pin function *)
+  after_edge : after_edge;
 }
 
 val run : Dfg.t -> alloc:Alloc.t -> params -> (Schedule.t, failure) result

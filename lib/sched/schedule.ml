@@ -6,12 +6,19 @@ type placement = {
   inst : Alloc.Inst_id.t option;
 }
 
+(* Resource-conflict index: for each instance (by index), the placements
+   bound to it, most recent first — shared with [placements], so an entry
+   costs one list cell.  Grown on demand, since instances may be added to
+   the allocation after the schedule exists. *)
+type booking = { mutable slots : placement list array }
+
 type t = {
   dfg : Dfg.t;
   clock : float;
   alloc : Alloc.t;
   ii : int option;
   placements : placement option array;
+  booking : booking;
 }
 
 let eps = 1e-6
@@ -36,16 +43,36 @@ let create ?ii dfg ~clock ~alloc =
               inst = None;
             }
       | _ -> ());
-  { dfg; clock; alloc; ii; placements }
+  let booking = { slots = Array.make (Alloc.count alloc) [] } in
+  { dfg; clock; alloc; ii; placements; booking }
 
 let placement t o = t.placements.(Dfg.Op_id.to_int o)
-let is_placed t o = placement t o <> None
+let is_placed t o = match placement t o with Some _ -> true | None -> false
+
+let booked t inst_id =
+  let k = Alloc.Inst_id.to_int inst_id in
+  let slots = t.booking.slots in
+  if k < Array.length slots then slots.(k) else []
+
+let book t inst_id entry =
+  let k = Alloc.Inst_id.to_int inst_id in
+  let b = t.booking in
+  if k >= Array.length b.slots then begin
+    let grown = Array.make (max (k + 1) (2 * Array.length b.slots)) [] in
+    Array.blit b.slots 0 grown 0 (Array.length b.slots);
+    b.slots <- grown
+  end;
+  b.slots.(k) <- entry :: b.slots.(k)
 
 let place t o ~edge ~start ~eff_delay ~inst =
   let i = Dfg.Op_id.to_int o in
-  if t.placements.(i) <> None then invalid_arg "Schedule.place: op already placed";
+  (match t.placements.(i) with
+  | Some _ -> invalid_arg "Schedule.place: op already placed"
+  | None -> ());
   let step = Cfg.state_of_edge (Dfg.cfg t.dfg) edge in
-  t.placements.(i) <- Some { edge; step; start; eff_delay; inst }
+  let p = { edge; step; start; eff_delay; inst } in
+  t.placements.(i) <- Some p;
+  match inst with Some id -> book t id p | None -> ()
 
 let step_budget t = t.clock -. Library.register_overhead (Alloc.library t.alloc)
 
@@ -73,13 +100,8 @@ let conflicts t inst_id ~edge =
   let cfg = Dfg.cfg t.dfg in
   let step = Cfg.state_of_edge cfg edge in
   List.exists
-    (fun o ->
-      match placement t o with
-      | Some p ->
-        if p.step = step then edges_conflict cfg p.edge edge
-        else steps_overlap t p.step step
-      | None -> false)
-    (ops_of_inst t inst_id)
+    (fun p -> if p.step = step then edges_conflict cfg p.edge edge else steps_overlap t p.step step)
+    (booked t inst_id)
 
 let lc_step_ok t ~producer_step ~consumer_step =
   match t.ii with Some k -> producer_step < consumer_step + k | None -> true

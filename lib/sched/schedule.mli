@@ -15,6 +15,12 @@ type placement = {
   inst : Alloc.Inst_id.t option;   (** [None] only for constants *)
 }
 
+type booking
+(** Per-instance index of the placements bound to it, maintained by
+    {!place} and read by {!conflicts}.  It depends only on the placements
+    themselves, not on which op holds each, so permuting placements among
+    ops leaves it valid. *)
+
 type t = {
   dfg : Dfg.t;
   clock : float;
@@ -24,6 +30,7 @@ type t = {
           [ii] steps apart, so steps congruent modulo [ii] execute
           concurrently and share nothing *)
   placements : placement option array;  (** by op index *)
+  booking : booking;
 }
 
 val create : ?ii:int -> Dfg.t -> clock:float -> alloc:Alloc.t -> t
@@ -42,7 +49,8 @@ val step_budget : t -> float
     overhead. *)
 
 val ops_of_inst : t -> Alloc.Inst_id.t -> Dfg.Op_id.t list
-(** Operations currently bound to an instance (its mux fan-in). *)
+(** Operations currently bound to an instance (its mux fan-in), by a scan
+    of the placements. *)
 
 val conflicts : t -> Alloc.Inst_id.t -> edge:Cfg.Edge_id.t -> bool
 (** Whether binding one more op executing on [edge] to the instance would

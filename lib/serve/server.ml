@@ -698,10 +698,45 @@ let handle_conn t fd =
 (* ------------------------------------------------------------------ *)
 (* Metrics exposition *)
 
-(* Minimal HTTP/1.0 scrape endpoint on loopback: read whatever request
-   head the scraper sends (ignored — every path answers the same
-   payload), write one Prometheus text rendering, close.  Runs until the
-   drain token fires; no keep-alive, no parsing, nothing a scraper can
+(* Whether [s] holds the blank line that ends an HTTP request head. *)
+let head_complete s =
+  let n = String.length s in
+  let rec scan i =
+    i + 1 < n
+    && ((s.[i] = '\n' && s.[i + 1] = '\n')
+       || (i + 3 < n && s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r'
+           && s.[i + 3] = '\n')
+       || scan (i + 1))
+  in
+  scan 0
+
+let max_head_bytes = 8192
+let head_wait_s = 1.0
+
+(* Consume the request head up to its blank line, bounded in size and in
+   the wait for each read.  Closing a socket with unread input makes the
+   kernel answer with a reset instead of a clean end of stream, and a
+   reset can destroy a response the scraper has not read yet. *)
+let read_request_head fd =
+  let buf = Bytes.create 1024 and head = Buffer.create 256 in
+  let rec go () =
+    if Buffer.length head < max_head_bytes && not (head_complete (Buffer.contents head))
+    then
+      match Unix.select [ fd ] [] [] head_wait_s with
+      | [], _, _ -> ()
+      | _ -> (
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> ()
+        | n ->
+          Buffer.add_subbytes head buf 0 n;
+          go ())
+  in
+  try go () with Unix.Unix_error _ -> ()
+
+(* Minimal HTTP/1.0 scrape endpoint on loopback: read the request head the
+   scraper sends (ignored — every path answers the same payload), write
+   one Prometheus text rendering, end the stream and close.  Runs until
+   the drain token fires; no keep-alive, no parsing, nothing a scraper can
    wedge. *)
 let metrics_loop t fd =
   let rec go () =
@@ -714,10 +749,7 @@ let metrics_loop t fd =
         | exception Unix.Unix_error _ -> ()
         | cfd, _ ->
           Obs.incr c_metrics_scrapes;
-          (try
-             let buf = Bytes.create 2048 in
-             ignore (Unix.read cfd buf 0 (Bytes.length buf))
-           with Unix.Unix_error _ -> ());
+          read_request_head cfd;
           let body = Obs.Expo.render () in
           let resp =
             Printf.sprintf
@@ -736,6 +768,7 @@ let metrics_loop t fd =
              in
              w 0
            with Unix.Unix_error _ -> ());
+          (try Unix.shutdown cfd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
           (try Unix.close cfd with Unix.Unix_error _ -> ())));
       go ()
     end

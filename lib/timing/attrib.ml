@@ -20,11 +20,7 @@ let create tdfg =
   let n = Dfg.op_count (Timed_dfg.dfg tdfg) in
   let degree = Array.make n 0 in
   List.iter
-    (fun o ->
-      let node = Timed_dfg.Op o in
-      degree.(Dfg.Op_id.to_int o) <-
-        List.length (Timed_dfg.preds tdfg node)
-        + List.length (Timed_dfg.succs tdfg node))
+    (fun o -> degree.(Dfg.Op_id.to_int o) <- Timed_dfg.degree tdfg o)
     (Timed_dfg.active_ops tdfg);
   {
     tdfg;

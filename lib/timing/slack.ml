@@ -26,63 +26,59 @@ let align_finish_constraint ~clock ~delay r =
   if f +. delay > clock +. 1e-9 then (clock *. Float.floor (r /. clock)) +. clock -. delay
   else r
 
+(* Two loops over the compiled graph ({!Timed_dfg.csr}).  Sinks are
+   folded into their ops: a sink's arrival is never read, and its required
+   time is [clock] (aligned with zero delay) for every sink, so the sink
+   edge is the last term of its op's backward fold — the position it holds
+   in [Timed_dfg.succs].  Every fold keeps the node-level order and float
+   expressions, so the results are bit-identical to a node-by-node
+   propagation.  [del] is called once per active op. *)
 let analyze ?(aligned = false) tdfg ~clock ~del =
   if clock <= 0.0 then invalid_arg "Slack.analyze: clock must be positive";
-  let dfg = Timed_dfg.dfg tdfg in
-  let n = Dfg.op_count dfg in
+  let { Timed_dfg.order; pred_off; pred_src; pred_lat; succ_off; succ_dst; succ_lat; sink_lat } =
+    Timed_dfg.csr tdfg
+  in
+  let n = Dfg.op_count (Timed_dfg.dfg tdfg) in
   let arr = Array.make n nan and req = Array.make n nan in
-  let sink_arr = Array.make n nan and sink_req = Array.make n nan in
-  let get_arr = function
-    | Timed_dfg.Op o -> arr.(Dfg.Op_id.to_int o)
-    | Timed_dfg.Sink o -> sink_arr.(Dfg.Op_id.to_int o)
-  in
-  let get_req = function
-    | Timed_dfg.Op o -> req.(Dfg.Op_id.to_int o)
-    | Timed_dfg.Sink o -> sink_req.(Dfg.Op_id.to_int o)
-  in
-  let node_del = function Timed_dfg.Op o -> del o | Timed_dfg.Sink _ -> 0.0 in
-  let order = Timed_dfg.topo tdfg in
+  let dl = Array.make n 0.0 in
   Obs.incr c_analyses;
   Obs.incr c_fwd;
   Obs.incr c_bwd;
-  (* Each pass visits every node and relaxes every edge exactly once. *)
-  Obs.add c_nodes (2 * List.length order);
+  (* Each pass visits every node (an op and its sink per active op) and
+     relaxes every edge exactly once. *)
+  Obs.add c_nodes (2 * 2 * Array.length order);
   Obs.add c_relax (2 * Timed_dfg.edge_count tdfg);
   (* Forward: arrival times. *)
-  List.iter
-    (fun node ->
-      let preds = Timed_dfg.preds tdfg node in
-      let raw =
-        List.fold_left
-          (fun acc (p, lat) ->
-            let a = get_arr p +. node_del p -. (clock *. float_of_int lat) in
-            Float.max acc a)
-          neg_infinity preds
-      in
-      let a0 = if preds = [] then 0.0 else raw in
-      let a = if aligned then align_start ~clock ~delay:(node_del node) a0 else a0 in
-      (match node with
-      | Timed_dfg.Op o -> arr.(Dfg.Op_id.to_int o) <- a
-      | Timed_dfg.Sink o -> sink_arr.(Dfg.Op_id.to_int o) <- a))
-    order;
+  for k = 0 to Array.length order - 1 do
+    let i = order.(k) in
+    let d = del (Dfg.Op_id.of_int i) in
+    dl.(i) <- d;
+    let lo = pred_off.(i) and hi = pred_off.(i + 1) in
+    let a0 =
+      if lo = hi then 0.0
+      else begin
+        let acc = ref neg_infinity in
+        for j = lo to hi - 1 do
+          let p = pred_src.(j) in
+          acc := Float.max !acc (arr.(p) +. dl.(p) -. (clock *. float_of_int pred_lat.(j)))
+        done;
+        !acc
+      end
+    in
+    arr.(i) <- (if aligned then align_start ~clock ~delay:d a0 else a0)
+  done;
   (* Backward: required times. *)
-  List.iter
-    (fun node ->
-      let succs = Timed_dfg.succs tdfg node in
-      let d = node_del node in
-      let raw =
-        List.fold_left
-          (fun acc (s, lat) ->
-            let r = get_req s -. d +. (clock *. float_of_int lat) in
-            Float.min acc r)
-          infinity succs
-      in
-      let r0 = if succs = [] then clock else raw in
-      let r = if aligned then align_finish_constraint ~clock ~delay:d r0 else r0 in
-      (match node with
-      | Timed_dfg.Op o -> req.(Dfg.Op_id.to_int o) <- r
-      | Timed_dfg.Sink o -> sink_req.(Dfg.Op_id.to_int o) <- r))
-    (List.rev order);
+  let sink_req = if aligned then align_finish_constraint ~clock ~delay:0.0 clock else clock in
+  for k = Array.length order - 1 downto 0 do
+    let i = order.(k) in
+    let d = dl.(i) in
+    let acc = ref infinity in
+    for j = succ_off.(i) to succ_off.(i + 1) - 1 do
+      acc := Float.min !acc (req.(succ_dst.(j)) -. d +. (clock *. float_of_int succ_lat.(j)))
+    done;
+    let r0 = Float.min !acc (sink_req -. d +. (clock *. float_of_int sink_lat.(i))) in
+    req.(i) <- (if aligned then align_finish_constraint ~clock ~delay:d r0 else r0)
+  done;
   let slack = Array.make n nan in
   let min_slack = ref infinity in
   List.iter

@@ -41,7 +41,35 @@ val preds : t -> node -> (node * int) list
 (** Predecessors with latency weights. *)
 
 val succs : t -> node -> (node * int) list
+(** Successors with latency weights; an active op's sink comes last. *)
+
+val degree : t -> Dfg.Op_id.t -> int
+(** Timed-DFG edges incident to the op's node (its sink edge included);
+    [0] for inactive ops. *)
+
 val edge_count : t -> int
+
+(** {1 Compiled form}
+
+    The graph as flat int arrays, for the linear-time kernels
+    ({!Slack.analyze}).  Sinks are implicit: every active op [o] has
+    exactly one sink edge, of weight [sink_lat.(o)].  The arrays are
+    shared with the graph and must not be mutated. *)
+
+type csr = private {
+  order : int array;     (** active op indices, topologically sorted *)
+  pred_off : int array;  (** [n + 1] offsets into [pred_src]/[pred_lat] *)
+  pred_src : int array;  (** dependency sources, grouped by destination *)
+  pred_lat : int array;
+  succ_off : int array;  (** [n + 1] offsets into [succ_dst]/[succ_lat] *)
+  succ_dst : int array;  (** dependency destinations, grouped by source *)
+  succ_lat : int array;
+  sink_lat : int array;  (** by op index; meaningful for active ops only *)
+}
+(** Within each group, edges keep the order {!preds} and {!succs} list
+    them in. *)
+
+val csr : t -> csr
 
 val latency_between : t -> Dfg.Op_id.t -> Dfg.Op_id.t -> int option
 (** Latency weight that an edge between these two ops would carry:

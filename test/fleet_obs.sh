@@ -110,6 +110,20 @@ scrape >"$DIR/metrics.out"
 grep -q "serve_requests_total" "$DIR/metrics.out"
 grep -q "serve_latency_ping" "$DIR/metrics.out"
 
+# A request head that arrives in two pieces: the daemon must read up to
+# the blank line before answering, or its close resets the connection
+# and the scraper loses the response.
+split_scrape() {
+  exec 3<>"/dev/tcp/127.0.0.1/$PORT" || return 1
+  printf 'GET /metrics HTTP/1.0\r\n' >&3
+  sleep 0.2
+  printf 'Accept: text/plain\r\n\r\n' >&3
+  cat <&3
+  exec 3<&-
+}
+split_scrape >"$DIR/metrics-split.out"
+grep -q "serve_requests_total" "$DIR/metrics-split.out"
+
 "$HLSC" top "unix:$DIR/m.sock" --iterations 1 >"$DIR/top.out"
 grep -q "cache%" "$DIR/top.out"
 grep -q "m.sock" "$DIR/top.out"
