@@ -70,8 +70,8 @@ let analyze ?attrib config tdfg ~clock delays =
   | None -> ());
   r
 
-let run ?(config = default_config) ?(event_phase = "budget") ?attrib tdfg ~clock
-    ~ranges ~sensitivity =
+let run ?(config = default_config) ?(event_phase = "budget") ?attrib
+    ?(emit = Obs.Events.emit) tdfg ~clock ~ranges ~sensitivity =
   let eps = 1e-6 in
   let margin = config.margin_frac *. clock in
   let attrib =
@@ -124,7 +124,7 @@ let run ?(config = default_config) ?(event_phase = "budget") ?attrib tdfg ~clock
          List.iter
            (fun o ->
              let i = Dfg.Op_id.to_int o in
-             Obs.Events.emit
+             emit
                (Obs.Events.Delay_update
                   {
                     op = op_name o;
@@ -152,7 +152,7 @@ let run ?(config = default_config) ?(event_phase = "budget") ?attrib tdfg ~clock
       if ev_on () then
         List.iter
           (fun o ->
-            Obs.Events.emit
+            emit
               (Obs.Events.Slack_computed
                  {
                    op = op_name o;
@@ -197,7 +197,7 @@ let run ?(config = default_config) ?(event_phase = "budget") ?attrib tdfg ~clock
                 Obs.incr c_updates;
                 incr updates_this_round;
                 if ev_on () then
-                  Obs.Events.emit
+                  emit
                     (Obs.Events.Delay_update
                        {
                          op = op_name o;
@@ -219,7 +219,7 @@ let run ?(config = default_config) ?(event_phase = "budget") ?attrib tdfg ~clock
                   Obs.incr c_updates;
                   incr updates_this_round;
                   if ev_on () then
-                    Obs.Events.emit
+                    emit
                       (Obs.Events.Delay_update
                          {
                            op = op_name o;
@@ -241,7 +241,7 @@ let run ?(config = default_config) ?(event_phase = "budget") ?attrib tdfg ~clock
           end)
         by_gain;
       if ev_on () then
-        Obs.Events.emit
+        emit
           (Obs.Events.Budget_round { round = rn; updates = !updates_this_round });
       !changed
     in

@@ -70,6 +70,7 @@ val run :
   ?config:config ->
   ?event_phase:string ->
   ?attrib:Attrib.t ->
+  ?emit:(Obs.Events.payload -> unit) ->
   Timed_dfg.t ->
   clock:float ->
   ranges:(Dfg.Op_id.t -> Interval.t) ->
@@ -89,7 +90,10 @@ val run :
     emits ({!Obs.Events.Slack_computed}, {!Obs.Events.Delay_update},
     {!Obs.Events.Budget_round}) so replay can distinguish the initial
     budgeting pass from per-edge re-budgeting (["rebudget"]) and the
-    recovery ladder (["recovery"]). *)
+    recovery ladder (["recovery"]).  They go through [emit] (default
+    {!Obs.Events.emit}), and only while events are enabled; a caller that
+    passes its own sink sees exactly the payloads this run records, in
+    order, whatever other domains emit meanwhile. *)
 
 val delays_at : lambda:float -> Timed_dfg.t -> ranges:(Dfg.Op_id.t -> Interval.t) -> float array
 (** The uniform-knob delay assignment used by the negative phase; exposed

@@ -62,6 +62,8 @@ type op = {
 
 type dep = { src : int; dst : int; loop_carried : bool }
 
+type span = { early : Cfg.Edge_id.t; late : Cfg.Edge_id.t }
+
 type t = {
   cfg : Cfg.t;
   ops_v : op Vec.t;
@@ -70,8 +72,9 @@ type t = {
 }
 
 (* Derived views of [ops_v]/[deps], built on first use and dropped (with
-   [adj <- None]) by every mutation.  The lists are handed out as they are,
-   so the per-op queries allocate nothing. *)
+   [adj <- None]) by every mutation, [fix_op] included (spans read the
+   [fixed] flag).  The lists and the span array are handed out as they
+   are, so the per-op queries allocate nothing. *)
 and adj = {
   op_ids : Op_id.t list;
   fwd_succ : Op_id.t list array;
@@ -79,6 +82,7 @@ and adj = {
   all_succ : (Op_id.t * bool) list array;
   all_pred : (Op_id.t * bool) list array;
   mutable topo : Op_id.t list option;  (* forward topological order *)
+  mutable spans : span array option;  (* unpinned [compute_spans] *)
 }
 
 exception Malformed of string
@@ -103,7 +107,8 @@ let op t id = Vec.get t.ops_v (Op_id.to_int id)
 let fix_op t id =
   let i = Op_id.to_int id in
   let o = Vec.get t.ops_v i in
-  Vec.set t.ops_v i { o with fixed = true }
+  Vec.set t.ops_v i { o with fixed = true };
+  t.adj <- None
 let op_count t = Vec.length t.ops_v
 let dep_count t = Vec.length t.deps
 
@@ -138,7 +143,7 @@ let adjacency t =
       end
     done;
     let op_ids = List.init n Op_id.of_int in
-    let a = { op_ids; fwd_succ; fwd_pred; all_succ; all_pred; topo = None } in
+    let a = { op_ids; fwd_succ; fwd_pred; all_succ; all_pred; topo = None; spans = None } in
     t.adj <- Some a;
     a
 
@@ -228,8 +233,6 @@ let validate t =
       end)
     t.deps
 
-type span = { early : Cfg.Edge_id.t; late : Cfg.Edge_id.t }
-
 let span_edges t { early; late } =
   List.filter
     (fun e -> Cfg.reaches t.cfg early e && Cfg.reaches t.cfg e late)
@@ -240,8 +243,10 @@ let is_const o = match o.kind with Const _ -> true | _ -> false
 (* Spans are computed in two sweeps over the forward-topological order of
    operations: earlies forward, lates backward.  Candidate edges are scanned
    in CFG edge-topological order; graphs are small enough that the O(ops *
-   edges) scan with O(1) reachability queries is cheap. *)
-let compute_spans ?(pin = fun _ -> None) t =
+   edges) scan with O(1) reachability queries is cheap.  The unpinned
+   result is cached with the adjacency (every scheduler pass starts from
+   it). *)
+let spans_with ~pin t =
   let cfg = t.cfg in
   if not (Cfg.is_sealed cfg) then invalid_arg "Dfg.compute_spans: CFG not sealed";
   let n = op_count t in
@@ -318,6 +323,18 @@ let compute_spans ?(pin = fun _ -> None) t =
         let b = (Vec.get t.ops_v i).birth in
         { early = b; late = b }
       end)
+
+let compute_spans ?pin t =
+  match pin with
+  | Some pin -> spans_with ~pin t
+  | None -> (
+    let a = adjacency t in
+    match a.spans with
+    | Some s -> s
+    | None ->
+      let s = spans_with ~pin:(fun _ -> None) t in
+      a.spans <- Some s;
+      s)
 
 let pp_op ppf o =
   Format.fprintf ppf "%s(%a, w%d, e%d%s)" o.name pp_op_kind o.kind o.width

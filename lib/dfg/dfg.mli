@@ -137,7 +137,9 @@ val compute_spans : ?pin:(Op_id.t -> Cfg.Edge_id.t option) -> t -> span array
 (** Indexed by [Op_id.to_int].  [pin] fixes already-scheduled operations on
     their scheduled edge, shrinking the spans of the remaining ones (used
     when budgeting is re-run during scheduling).  Requires a sealed CFG and
-    a validated DFG. *)
+    a validated DFG.  Without [pin] the array is computed once and shared
+    by every later call until the graph changes ({!add_op}, {!add_dep},
+    {!fix_op}); callers must not mutate it. *)
 
 val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit

@@ -116,6 +116,12 @@ type st = {
   mutable n_lost : int;
   mutable abort : string option;
   mutable stop : bool;
+  bell : Unix.file_descr * Unix.file_descr;
+      (* self-pipe: rung when a lease ends, a worker is lost or the sweep
+         aborts, so the supervisor wakes on the change, not on a tick *)
+  halt : Unix.file_descr * Unix.file_descr;
+      (* written once, never read: readable from [stop] on, so every
+         sleeping thread wakes at once *)
 }
 
 let now () = Unix.gettimeofday ()
@@ -123,6 +129,23 @@ let now () = Unix.gettimeofday ()
 let with_mu st f =
   Mutex.lock st.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock st.mu) f
+
+(* One byte down a pipe; a full (non-blocking) bell has rung already. *)
+let ring (_, w) = try ignore (Unix.single_write_substring w "x" 0 1) with Unix.Unix_error _ -> ()
+
+let select_in fd s =
+  match Unix.select [ fd ] [] [] s with
+  | [], _, _ -> false
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+
+(* Sleep [s] seconds, cut short when the supervisor stops. *)
+let pause st s = if not st.stop then ignore (select_in (fst st.halt) s)
+
+(* The supervisor's wait: up to [s] seconds, or until the bell rings. *)
+let await_bell st s =
+  if select_in (fst st.bell) s then
+    try ignore (Unix.read (fst st.bell) (Bytes.create 64) 0 64) with Unix.Unix_error _ -> ()
 
 let contain st detector response = st.responses <- (detector, response) :: st.responses
 
@@ -262,7 +285,8 @@ let fail_lease ?(log = true) ~detector ~response ~strike st w l =
           st.n_lost <- st.n_lost + 1;
           Obs.incr c_workers_lost
         end
-      end)
+      end);
+  ring st.bell
 
 (* Requeue without blame: the worker answered [overloaded]/[draining] —
    back off briefly and let another worker take it. *)
@@ -295,9 +319,12 @@ let finish_lease st w l ?(events = []) lines =
           l.l_eligible <- now ();
           l.l_last_worker <- Some w.w_name;
           st.queue <- st.queue @ [ l ]
-      | _ -> ())
+      | _ -> ());
+  ring st.bell
 
-let set_abort st msg = with_mu st (fun () -> if st.abort = None then st.abort <- Some msg)
+let set_abort st msg =
+  with_mu st (fun () -> if st.abort = None then st.abort <- Some msg);
+  ring st.bell
 
 (* -- the per-worker sender ------------------------------------------ *)
 
@@ -470,7 +497,7 @@ let sender st w =
       in
       match next with
       | None ->
-          Thread.delay 0.03;
+          pause st 0.03;
           loop ()
       | Some l ->
           run_lease st w client l;
@@ -515,7 +542,7 @@ let heartbeater st w =
     let rec loop () =
       if st.stop || not w.w_alive then ()
       else begin
-        Thread.delay st.cfg.heartbeat;
+        pause st st.cfg.heartbeat;
         if st.stop || not w.w_alive then ()
         else begin
           (match Client.one_shot ~deadline_s:(st.cfg.heartbeat +. 0.5) w.w_addr payload with
@@ -533,7 +560,7 @@ let heartbeater st w =
               | _ -> ())
           | Error _ ->
               w.w_misses <- w.w_misses + 1;
-              if w.w_misses >= st.cfg.heartbeat_misses then
+              if w.w_misses >= st.cfg.heartbeat_misses then begin
                 with_mu st (fun () ->
                     if w.w_alive then begin
                       (* alive on the wire, or not even that — either way
@@ -548,7 +575,9 @@ let heartbeater st w =
                       match w.w_fd with
                       | Some fd -> ( try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
                       | None -> ()
-                    end));
+                    end);
+                ring st.bell
+              end);
           loop ()
         end
       end
@@ -614,8 +643,12 @@ let run (cfg : config) jobs =
         n_lost = 0;
         abort = None;
         stop = false;
+        bell = Unix.pipe ~cloexec:true ();
+        halt = Unix.pipe ~cloexec:true ();
       }
     in
+    Unix.set_nonblock (fst st.bell);
+    Unix.set_nonblock (snd st.bell);
     List.iter
       (fun j ->
         let keys = List.sort_uniq String.compare j.keys in
@@ -671,7 +704,7 @@ let run (cfg : config) jobs =
           || not (List.exists (fun w -> w.w_alive) st.workers))
     in
     while not (finished ()) do
-      Thread.delay 0.05;
+      await_bell st 0.05;
       let t = now () in
       if t -. !last_emit >= 0.2 then begin
         last_emit := t;
@@ -679,7 +712,9 @@ let run (cfg : config) jobs =
       end
     done;
     st.stop <- true;
+    ring st.halt;
     List.iter Thread.join threads;
+    List.iter (fun (r, w) -> Unix.close r; Unix.close w) [ st.bell; st.halt ];
     emit ();
     let done_n = Hashtbl.length st.table in
     let abort =

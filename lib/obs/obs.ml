@@ -328,9 +328,10 @@ end
 type span_agg = {
   mutable s_count : int;
   mutable s_total_ns : int64;
-  (* GC/alloc deltas, accumulated only while profiling is enabled. *)
-  mutable s_minor_w : float;
-  mutable s_major_w : float;
+  (* GC/alloc deltas, accumulated only while profiling is enabled.  The
+     word counts live in a flat float array (minor, major) so adding to
+     them allocates no float box. *)
+  s_words : Float.Array.t;
   mutable s_minor_c : int;
   mutable s_major_c : int;
 }
@@ -339,8 +340,7 @@ let new_span_agg () =
   {
     s_count = 0;
     s_total_ns = 0L;
-    s_minor_w = 0.0;
-    s_major_w = 0.0;
+    s_words = Float.Array.make 2 0.0;
     s_minor_c = 0;
     s_major_c = 0;
   }
@@ -367,7 +367,7 @@ type gc_trace_sample = {
 type state = {
   mutable stats_on : bool;
   mutable trace_on : bool;
-  mutable prof_on : bool;  (* take Gc.quick_stat deltas around spans *)
+  mutable prof_on : bool;  (* take GC counter deltas around spans *)
   mutable collecting : bool;  (* stats_on || trace_on, the fast-path test *)
   span_aggs : (string, span_agg) Hashtbl.t;
   mutable trace_buf : trace_event Vec.t;
@@ -892,11 +892,42 @@ let reset () =
 
 (* GC counters are domain-local, so a delta is the measured region's own
    churn (children included, like wall clock) even while other domains
-   allocate concurrently.  [Gc.quick_stat]'s [minor_words] only counts up
-   to the last minor collection in native code; [Gc.minor_words ()] adds
-   the live young generation, making small deltas exact — so the minor
-   count rides alongside the stat record. *)
-let gc_sample () = (Gc.minor_words (), Gc.quick_stat ())
+   allocate concurrently.  Each domain keeps a stack of the open profiled
+   spans' samples, [gc_slot] floats each (minor words, major words,
+   promoted words, minor and major collections); the stub writes into it
+   in place, so profiling adds no allocation to the spans it measures. *)
+external gc_sample_into : Float.Array.t -> int -> unit = "hls_obs_gc_sample_into"
+[@@noalloc]
+
+let gc_slot = 5
+
+type gc_stack = { mutable g_buf : Float.Array.t; mutable g_depth : int }
+
+let gc_stack_key : gc_stack Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { g_buf = Float.Array.make (16 * gc_slot) 0.0; g_depth = 0 })
+
+(* Pushes the opening sample, keeping one free slot above it for the
+   closing sample. *)
+let gc_open () =
+  let g = Domain.DLS.get gc_stack_key in
+  let need = (g.g_depth + 2) * gc_slot in
+  if Float.Array.length g.g_buf < need then begin
+    let b = Float.Array.make (2 * need) 0.0 in
+    Float.Array.blit g.g_buf 0 b 0 (Float.Array.length g.g_buf);
+    g.g_buf <- b
+  end;
+  gc_sample_into g.g_buf (g.g_depth * gc_slot);
+  g.g_depth <- g.g_depth + 1
+
+(* Pops the innermost sample and takes the closing one in the slot above
+   it (free, since the span's children have closed).  The span's deltas
+   are then [g_buf.(o + gc_slot + k) - g_buf.(o + k)] with
+   [o = g_depth * gc_slot]. *)
+let gc_close () =
+  let g = Domain.DLS.get gc_stack_key in
+  g.g_depth <- g.g_depth - 1;
+  gc_sample_into g.g_buf ((g.g_depth + 1) * gc_slot)
 
 let span ?(attrs = []) name f =
   if not st.collecting then f ()
@@ -904,15 +935,19 @@ let span ?(attrs = []) name f =
     let outer = Domain.DLS.get path_key in
     let path = String.concat "/" (List.rev (name :: outer)) in
     Domain.DLS.set path_key (name :: outer);
-    let g0 = if st.prof_on then Some (gc_sample ()) else None in
+    let prof = st.prof_on in
+    if prof then gc_open ();
     let t0 = now_ns () in
     Fun.protect
       ~finally:(fun () ->
         let t1 = now_ns () in
         let dur = Int64.sub t1 t0 in
-        let g1 = match g0 with Some _ -> Some (gc_sample ()) | None -> None in
+        if prof then gc_close ();
         Domain.DLS.set path_key outer;
         locked (fun () ->
+            let g = Domain.DLS.get gc_stack_key in
+            let b = g.g_buf and o = g.g_depth * gc_slot in
+            let e = o + gc_slot in
             if st.stats_on then begin
               let a =
                 match Hashtbl.find_opt st.span_aggs path with
@@ -924,15 +959,20 @@ let span ?(attrs = []) name f =
               in
               a.s_count <- a.s_count + 1;
               a.s_total_ns <- Int64.add a.s_total_ns dur;
-              match (g0, g1) with
-              | Some (bm, b), Some (em, e) ->
-                a.s_minor_w <- a.s_minor_w +. (em -. bm);
-                a.s_major_w <- a.s_major_w +. (e.Gc.major_words -. b.Gc.major_words);
+              if prof then begin
+                let w = a.s_words in
+                Float.Array.set w 0
+                  (Float.Array.get w 0 +. (Float.Array.get b e -. Float.Array.get b o));
+                Float.Array.set w 1
+                  (Float.Array.get w 1
+                  +. (Float.Array.get b (e + 1) -. Float.Array.get b (o + 1)));
                 a.s_minor_c <-
-                  a.s_minor_c + (e.Gc.minor_collections - b.Gc.minor_collections);
+                  a.s_minor_c
+                  + int_of_float (Float.Array.get b (e + 3) -. Float.Array.get b (o + 3));
                 a.s_major_c <-
-                  a.s_major_c + (e.Gc.major_collections - b.Gc.major_collections)
-              | _ -> ()
+                  a.s_major_c
+                  + int_of_float (Float.Array.get b (e + 4) -. Float.Array.get b (o + 4))
+              end
             end;
             if st.trace_on then begin
               ignore
@@ -945,17 +985,15 @@ let span ?(attrs = []) name f =
                      ev_tid = (Domain.self () :> int);
                      ev_attrs = attrs;
                    });
-              match g1 with
-              | Some (em, e) ->
+              if prof then
                 ignore
                   (Vec.push st.gc_buf
                      {
                        g_ts_ns = Int64.sub t1 epoch_ns;
                        g_tid = (Domain.self () :> int);
-                       g_minor_w = em;
-                       g_major_w = e.Gc.major_words;
+                       g_minor_w = Float.Array.get b e;
+                       g_major_w = Float.Array.get b (e + 1);
                      })
-              | None -> ()
             end))
       f
   end
@@ -1024,7 +1062,7 @@ let dists_snapshot () =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* ------------------------------------------------------------------ *)
-(* Work-attribution profiling: Gc.quick_stat deltas per span, and the
+(* Work-attribution profiling: GC counter deltas per span, and the
    snapshot document shared by `bench --json` and its baseline gate. *)
 
 module Prof = struct
@@ -1037,13 +1075,14 @@ module Prof = struct
   }
 
   let sample () =
-    let g = Gc.quick_stat () in
+    let b = Float.Array.make gc_slot 0.0 in
+    gc_sample_into b 0;
     {
-      minor_words = Gc.minor_words ();
-      major_words = g.Gc.major_words;
-      promoted_words = g.Gc.promoted_words;
-      minor_collections = g.Gc.minor_collections;
-      major_collections = g.Gc.major_collections;
+      minor_words = Float.Array.get b 0;
+      major_words = Float.Array.get b 1;
+      promoted_words = Float.Array.get b 2;
+      minor_collections = int_of_float (Float.Array.get b 3);
+      major_collections = int_of_float (Float.Array.get b 4);
     }
 
   let delta ~before ~after =
@@ -1077,8 +1116,8 @@ module Prof = struct
               path;
               calls = a.s_count;
               total_ns = Int64.to_float a.s_total_ns;
-              minor_words = a.s_minor_w;
-              major_words = a.s_major_w;
+              minor_words = Float.Array.get a.s_words 0;
+              major_words = Float.Array.get a.s_words 1;
               minor_collections = a.s_minor_c;
               major_collections = a.s_major_c;
             }

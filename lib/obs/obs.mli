@@ -161,9 +161,10 @@ end
 (** {1 Work-attribution profiling}
 
     Per-span GC/alloc telemetry: with {!Prof.enable}, every closed span
-    additionally accumulates the [Gc.quick_stat] delta of its body —
-    minor/major words allocated and collections triggered.  The counters
-    are domain-local, so a span's delta is its own churn even while other
+    additionally accumulates the GC counter delta of its body — minor/major
+    words allocated and collections triggered.  Sampling writes into a
+    per-domain buffer and allocates nothing, so profiling does not add to
+    the allocation it measures.  The word counters are domain-local, so a span's delta is its own churn even while other
     domains allocate concurrently; word counts are integers, so identical
     runs produce identical profiles.  [Prof] also owns the snapshot
     document written by [bench --json] and diffed by its baseline gate,
@@ -179,7 +180,8 @@ module Prof : sig
   }
 
   val sample : unit -> sample
-  (** Cumulative [Gc.quick_stat] counters of the calling domain. *)
+  (** Cumulative GC counters of the calling domain (the values
+      [Gc.quick_stat] reports, with [minor_words] as [Gc.minor_words]). *)
 
   val delta : before:sample -> after:sample -> sample
 

@@ -77,6 +77,7 @@ let c_relaxations = Obs.counter "flow.relaxations"
 let c_resource_adds = Obs.counter "flow.resource_additions"
 let c_gamma_decays = Obs.counter "flow.gamma_decays"
 let c_rebudget_runs = Obs.counter "sched.rebudget.runs"
+let c_rebudget_memo_hits = Obs.counter "sched.rebudget.memo_hits"
 let c_rebudget_infeasible = Obs.counter "sched.rebudget.infeasible"
 
 (* Per-edge attribution (instance totals, not global counter deltas, so the
@@ -120,19 +121,13 @@ let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
 
 let op_curve lib (op : Dfg.op) = Library.op_curve lib op.Dfg.kind ~width:op.Dfg.width
 
-(* Delay range of an op, upper end clamped to the step budget so scheduled
-   operations can always fit a cycle. *)
-let op_range lib budget dfg o =
-  let op = Dfg.op dfg o in
-  match op_curve lib op with
+(* Delay range of an op with this curve, upper end clamped to the step
+   budget so scheduled operations can always fit a cycle. *)
+let curve_range budget = function
   | Some c ->
     let lo = Curve.min_delay c in
     Interval.make lo (Float.max lo (Float.min (Curve.max_delay c) budget))
   | None -> Interval.point 0.0
-
-let op_sensitivity lib dfg o d =
-  let op = Dfg.op dfg o in
-  match op_curve lib op with Some c -> Curve.sensitivity c d | None -> 0.0
 
 let active_ops dfg =
   List.filter
@@ -199,6 +194,39 @@ type once_failure =
 exception Check_failed_exn of Check.violation list
 exception Cancelled_exn of string
 
+(* One per-edge re-budget, as [run_once] memoises it. *)
+type rebudget =
+  | Spans_unrealizable  (** the respanned graph has an undefined latency *)
+  | Rebudget_infeasible
+  | Rebudget_feasible of Timed_dfg.t * float array  (** respanned graph, delays *)
+
+type rebudget_entry = {
+  outcome : rebudget;
+  replay : Obs.Events.payload list;  (** the provenance events the miss emitted *)
+}
+
+(* The memo key: every placed active op's (op, edge, effective delay
+   bits).  The pins determine the respanned spans, and the placed set with
+   its delays determines the budget's ranges and sensitivities.  The
+   records are written into [buf] (16 bytes per op, reused across edges)
+   and the key is a copy of those bytes, so equal keys mean equal
+   inputs. *)
+let rebudget_key buf sched ops =
+  let len =
+    List.fold_left
+      (fun pos o ->
+        match Schedule.placement sched o with
+        | Some p ->
+          Bytes.set_int32_le buf pos (Int32.of_int (Dfg.Op_id.to_int o));
+          Bytes.set_int32_le buf (pos + 4)
+            (Int32.of_int (Cfg.Edge_id.to_int p.Schedule.edge));
+          Bytes.set_int64_le buf (pos + 8) (Int64.bits_of_float p.Schedule.eff_delay);
+          pos + 16
+        | None -> pos)
+      0 ops
+  in
+  Bytes.sub_string buf 0 len
+
 let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
   let cfg = Dfg.cfg dfg in
   let ops = active_ops dfg in
@@ -222,8 +250,16 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
   if budget_clock <= 0.0 then Error (F_invalid "clock period below register overhead")
   else begin
     try
-    let ranges o = op_range lib budget_clock dfg o in
-    let sensitivity o d = op_sensitivity lib dfg o d in
+    (* Curves and ranges per op, looked up once: budgeting reads them on
+       every feasibility probe. *)
+    let curves = Array.init n (fun i -> op_curve lib (Dfg.op dfg (Dfg.Op_id.of_int i))) in
+    let op_ranges = Array.map (curve_range budget_clock) curves in
+    let ranges o = op_ranges.(Dfg.Op_id.to_int o) in
+    let sensitivity o d =
+      match curves.(Dfg.Op_id.to_int o) with
+      | Some c -> Curve.sensitivity c d
+      | None -> 0.0
+    in
     (* Delay targets. *)
     let targets = Array.make n 0.0 in
     let priorities = Array.make n 0.0 in
@@ -319,7 +355,47 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       alloc
     in
     (* After-edge work: the slack flow respans and, unless ablated,
-       re-budgets on the respanned graph. *)
+       re-budgets on the respanned graph.  Re-budgets are memoised for this
+       call (one ladder rung: [bcfg] and [budget_clock] are fixed) on
+       {!rebudget_key}: an edge that placed nothing repeats the previous
+       edge's inputs, and a relaxation attempt often repeats an earlier
+       attempt's prefix.  A hit skips the timed-DFG build and [Budget.run]
+       and replays the recorded events; the targets and priorities are
+       still written, since priorities read every op's current target. *)
+    let memo : (string, rebudget_entry) Hashtbl.t = Hashtbl.create 64 in
+    let key_buf = Bytes.create (16 * List.length ops) in
+    let rebudget bcfg sched spans' =
+      match Timed_dfg.build dfg ~spans:spans' with
+      | exception Timed_dfg.Unrealizable _ -> { outcome = Spans_unrealizable; replay = [] }
+      | tdfg' ->
+        let ranges' o =
+          match Schedule.placement sched o with
+          | Some p -> Interval.point p.Schedule.eff_delay
+          | None -> ranges o
+        in
+        let sens' o d = if Schedule.is_placed sched o then 0.0 else sensitivity o d in
+        Obs.incr c_rebudget_runs;
+        let attrib = Attrib.create tdfg' in
+        let emitted = ref [] in
+        let emit p =
+          emitted := p :: !emitted;
+          Obs.Events.emit p
+        in
+        let outcome =
+          match
+            Budget.run ~config:bcfg ~event_phase:"rebudget" ~attrib ~emit tdfg'
+              ~clock:budget_clock ~ranges:ranges' ~sensitivity:sens'
+          with
+          | Budget.Feasible delays -> Rebudget_feasible (tdfg', delays)
+          | Budget.Infeasible _ -> Rebudget_infeasible
+        in
+        let tt = Attrib.instance_totals attrib in
+        if tt.Attrib.touched > 0 then begin
+          Obs.observe d_edge_cone (float_of_int tt.Attrib.cone);
+          Obs.observe d_edge_waste (100.0 *. Attrib.wasted_ratio tt)
+        end;
+        { outcome; replay = List.rev !emitted }
+    in
     let after_edge =
       match (flow, config.rebudget_config) with
       | Slack_based, None -> Sched_core.Respan
@@ -328,50 +404,44 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
           (fun sched spans' ->
             if List.exists (fun o -> not (Schedule.is_placed sched o)) ops then begin
               poll "rebudget";
-              match Timed_dfg.build dfg ~spans:spans' with
-              | exception Timed_dfg.Unrealizable _ -> ()
-              | tdfg' ->
-                let ranges' o =
-                  match Schedule.placement sched o with
-                  | Some p -> Interval.point p.Schedule.eff_delay
-                  | None -> ranges o
+              let key = rebudget_key key_buf sched ops in
+              let entry =
+                match Hashtbl.find_opt memo key with
+                | Some entry ->
+                  Obs.incr c_rebudget_memo_hits;
+                  List.iter Obs.Events.emit entry.replay;
+                  entry
+                | None ->
+                  let entry = rebudget bcfg sched spans' in
+                  Hashtbl.replace memo key entry;
+                  entry
+              in
+              match entry.outcome with
+              | Spans_unrealizable -> ()
+              | Rebudget_feasible (tdfg', delays) ->
+                List.iter
+                  (fun o ->
+                    let i = Dfg.Op_id.to_int o in
+                    if not (Schedule.is_placed sched o) then targets.(i) <- delays.(i))
+                  ops;
+                let res =
+                  Slack.analyze ~aligned:true tdfg' ~clock:budget_clock ~del:(fun o ->
+                      targets.(Dfg.Op_id.to_int o))
                 in
-                let sens' o d = if Schedule.is_placed sched o then 0.0 else sensitivity o d in
-                Obs.incr c_rebudget_runs;
-                let attrib = Attrib.create tdfg' in
-                (match
-                   Budget.run ~config:bcfg ~event_phase:"rebudget" ~attrib tdfg'
-                     ~clock:budget_clock ~ranges:ranges' ~sensitivity:sens'
-                 with
-                | Budget.Feasible delays ->
-                  List.iter
-                    (fun o ->
-                      let i = Dfg.Op_id.to_int o in
-                      if not (Schedule.is_placed sched o) then targets.(i) <- delays.(i))
-                    ops;
-                  let res =
-                    Slack.analyze ~aligned:true tdfg' ~clock:budget_clock ~del:(fun o ->
-                        targets.(Dfg.Op_id.to_int o))
-                  in
-                  List.iter
-                    (fun o -> priorities.(Dfg.Op_id.to_int o) <- Slack.op_slack res o)
-                    ops
-                | Budget.Infeasible _ ->
-                  (* Sharing created violations: demand the fastest grades
-                     for what remains (paper: "fixed by decreasing the
-                     delays of operations"). *)
-                  Obs.incr c_rebudget_infeasible;
-                  List.iter
-                    (fun o ->
-                      let i = Dfg.Op_id.to_int o in
-                      if not (Schedule.is_placed sched o) then
-                        targets.(i) <- Interval.lo (ranges o))
-                    ops);
-                let tt = Attrib.instance_totals attrib in
-                if tt.Attrib.touched > 0 then begin
-                  Obs.observe d_edge_cone (float_of_int tt.Attrib.cone);
-                  Obs.observe d_edge_waste (100.0 *. Attrib.wasted_ratio tt)
-                end
+                List.iter
+                  (fun o -> priorities.(Dfg.Op_id.to_int o) <- Slack.op_slack res o)
+                  ops
+              | Rebudget_infeasible ->
+                (* Sharing created violations: demand the fastest grades
+                   for what remains (paper: "fixed by decreasing the
+                   delays of operations"). *)
+                Obs.incr c_rebudget_infeasible;
+                List.iter
+                  (fun o ->
+                    let i = Dfg.Op_id.to_int o in
+                    if not (Schedule.is_placed sched o) then
+                      targets.(i) <- Interval.lo (ranges o))
+                  ops
             end)
       | (Conventional | Slowest_first), _ -> Sched_core.Keep_spans
     in
@@ -478,7 +548,11 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
           end)
       | Error f -> Error f
     in
-    match attempt 0 with
+    let result = attempt 0 in
+    (* Entries hold timed DFGs: dropping them here keeps area recovery's
+       heap small. *)
+    Hashtbl.reset memo;
+    match result with
     | Error failure -> Error (F_sched failure)
     | Ok (schedule, relaxations) ->
       let regrades =

@@ -76,6 +76,22 @@ let run dfg ~alloc params =
   in
   let active_ops = List.filter active (Dfg.ops dfg) in
   let topo = Dfg.topo_order dfg in
+  (* Ready worklist: an op is only a ready candidate once every forward
+     predecessor is placed, so each ready sweep scans just the unplaced
+     ops whose count of unplaced predecessors is zero ([candidates];
+     placed ones are pruned at the next sweep). *)
+  let waiting = Array.make (Dfg.op_count dfg) 0 in
+  List.iter
+    (fun o ->
+      List.iter
+        (fun p ->
+          if not (Schedule.is_placed sched p) then
+            waiting.(Dfg.Op_id.to_int o) <- waiting.(Dfg.Op_id.to_int o) + 1)
+        (Dfg.preds dfg o))
+    active_ops;
+  let candidates =
+    ref (List.filter (fun o -> waiting.(Dfg.Op_id.to_int o) = 0) active_ops)
+  in
   (* Compatible instances per (kind, width), in instance order; grades
      change during the pass, so each placement sorts afresh. *)
   let compat = Hashtbl.create 8 in
@@ -201,6 +217,12 @@ let run dfg ~alloc params =
         Schedule.place sched o ~edge:e ~start:rt ~eff_delay:eff ~inst:(Some c.Alloc.id);
         let k = Alloc.Inst_id.to_int c.Alloc.id in
         fanin.(k) <- fanin.(k) + 1;
+        List.iter
+          (fun s ->
+            let j = Dfg.Op_id.to_int s in
+            waiting.(j) <- waiting.(j) - 1;
+            if waiting.(j) = 0 then candidates := s :: !candidates)
+          (Dfg.succs dfg o);
         Placed
       in
       let miss () =
@@ -305,69 +327,75 @@ let run dfg ~alloc params =
       (fun e ->
         Obs.incr c_edges;
         let step = Cfg.state_of_edge cfg e in
-        let placed_here = ref 0 in
-        let deferred_here = ref 0 in
-        let progress = ref true in
-        while !progress do
-          progress := false;
-          Obs.incr c_sweeps;
-          let ready =
-            active_ops
-            |> List.filter (fun o -> (not (Schedule.is_placed sched o)) && ready_on o e step)
-            |> List.sort (fun a b ->
-                   (* Ops whose span ends here go first, then by priority. *)
-                   let late_idx o = Cfg.edge_topo_index cfg (span_of o).Dfg.late in
-                   match Int.compare (late_idx a) (late_idx b) with
-                   | 0 -> (
-                     match Float.compare (params.priority a) (params.priority b) with
-                     | 0 -> Dfg.Op_id.compare a b
-                     | c -> c)
-                   | c -> c)
-          in
-          let nready = List.length ready in
-          Obs.add c_ready nready;
-          List.iter
-            (fun o ->
-              if not (Schedule.is_placed sched o) then
-                match try_place o e step with
-                | Placed ->
-                  progress := true;
-                  incr placed_here;
-                  if ev_on () then emit_pick o e step ~ready_set_size:nready
-                | Defer _ -> incr deferred_here)
-            ready
-        done;
-        (* Paper step (b): an op whose span ends here must be placed.  The
-           sweep follows dependency order so that when a chain is stuck the
-           blocking producer reports its own (actionable) failure before a
-           merely-waiting consumer reports a misleading one. *)
-        List.iter
-          (fun o ->
-            if
-              active o
-              && (not (Schedule.is_placed sched o))
-              && Cfg.Edge_id.equal (span_of o).Dfg.late e
-            then begin
-              match if ready_on o e step then try_place o e step else Defer Starved with
-              | Placed ->
-                incr placed_here;
-                (* Span-end forced placement: the op was the only candidate. *)
-                if ev_on () then emit_pick o e step ~ready_set_size:1
-              | Defer d -> fail (Dfg.op dfg o).Dfg.name (reason_of o step d)
-            end)
-          topo;
-        if ev_on () then
-          Obs.Events.emit
-            (Obs.Events.Edge_scheduled
-               {
-                 edge = Cfg.Edge_id.to_int e;
-                 step;
-                 placed = !placed_here;
-                 deferred = !deferred_here;
-               });
+        Obs.span "sched.list" (fun () ->
+            let placed_here = ref 0 in
+            let deferred_here = ref 0 in
+            let progress = ref true in
+            while !progress do
+              progress := false;
+              Obs.incr c_sweeps;
+              candidates := List.filter (fun o -> not (Schedule.is_placed sched o)) !candidates;
+              let ready =
+                !candidates
+                |> List.filter (fun o -> ready_on o e step)
+                |> List.sort (fun a b ->
+                       (* Ops whose span ends here go first, then by
+                          priority; the order is total, so it does not
+                          depend on the order of [candidates]. *)
+                       let late_idx o = Cfg.edge_topo_index cfg (span_of o).Dfg.late in
+                       match Int.compare (late_idx a) (late_idx b) with
+                       | 0 -> (
+                         match Float.compare (params.priority a) (params.priority b) with
+                         | 0 -> Dfg.Op_id.compare a b
+                         | c -> c)
+                       | c -> c)
+              in
+              let nready = List.length ready in
+              Obs.add c_ready nready;
+              List.iter
+                (fun o ->
+                  if not (Schedule.is_placed sched o) then
+                    match try_place o e step with
+                    | Placed ->
+                      progress := true;
+                      incr placed_here;
+                      if ev_on () then emit_pick o e step ~ready_set_size:nready
+                    | Defer _ -> incr deferred_here)
+                ready
+            done;
+            (* Paper step (b): an op whose span ends here must be placed.
+               The sweep follows dependency order so that when a chain is
+               stuck the blocking producer reports its own (actionable)
+               failure before a merely-waiting consumer reports a
+               misleading one. *)
+            List.iter
+              (fun o ->
+                if
+                  active o
+                  && (not (Schedule.is_placed sched o))
+                  && Cfg.Edge_id.equal (span_of o).Dfg.late e
+                then begin
+                  match if ready_on o e step then try_place o e step else Defer Starved with
+                  | Placed ->
+                    incr placed_here;
+                    (* Span-end forced placement: the op was the only
+                       candidate. *)
+                    if ev_on () then emit_pick o e step ~ready_set_size:1
+                  | Defer d -> fail (Dfg.op dfg o).Dfg.name (reason_of o step d)
+                end)
+              topo;
+            if ev_on () then
+              Obs.Events.emit
+                (Obs.Events.Edge_scheduled
+                   {
+                     edge = Cfg.Edge_id.to_int e;
+                     step;
+                     placed = !placed_here;
+                     deferred = !deferred_here;
+                   }));
         let respan () =
           Obs.incr c_respans;
-          spans := Dfg.compute_spans ~pin dfg
+          spans := Obs.span "sched.respan" (fun () -> Dfg.compute_spans ~pin dfg)
         in
         match params.after_edge with
         | Keep_spans -> ()
@@ -444,5 +472,5 @@ let run dfg ~alloc params =
           { reason = Retime_failed v.Schedule.detail;
             message = "final retiming failed: " ^ v.Schedule.detail }
     in
-    repair 200
+    Obs.span "sched.retime" (fun () -> repair 200)
   with Fail f -> Error f

@@ -61,4 +61,7 @@ type params = {
 
 val run : Dfg.t -> alloc:Alloc.t -> params -> (Schedule.t, failure) result
 (** Requires a validated DFG over a sealed CFG.  On success the returned
-    schedule has passed {!Schedule.retime} with final fan-ins. *)
+    schedule has passed {!Schedule.retime} with final fan-ins.  Telemetry
+    spans: each edge's ready and placement sweeps run in [sched.list],
+    respans in [sched.respan], the re-budget hook in [sched.rebudget] and
+    the final retiming in [sched.retime]. *)

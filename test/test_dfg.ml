@@ -43,6 +43,46 @@ let test_spans_with_pin () =
   Alcotest.(check bool) "sub early not before e2" true
     (Cfg.reaches r.Resizer.cfg r.Resizer.e2 s.Dfg.early)
 
+(* The unpinned spans are cached with the adjacency, so every mutation
+   must drop them — [fix_op] included, since a fixed op stays on its birth
+   edge.  After each mutation the cached answer must equal a fresh
+   computation (a [pin] that pins nothing bypasses the cache). *)
+let test_spans_cache_invalidation () =
+  let r = Resizer.table3 () in
+  let dfg = r.Resizer.dfg in
+  let as_pairs spans =
+    Array.to_list
+      (Array.map
+         (fun s -> (Cfg.Edge_id.to_int s.Dfg.early, Cfg.Edge_id.to_int s.Dfg.late))
+         spans)
+  in
+  let spans msg =
+    let cached = Dfg.compute_spans dfg in
+    Alcotest.(check (list (pair int int)))
+      (msg ^ ": cached spans equal a fresh computation")
+      (as_pairs (Dfg.compute_spans ~pin:(fun _ -> None) dfg))
+      (as_pairs cached);
+    cached
+  in
+  let before = spans "initial" in
+  check_span before r.Resizer.div ~early:r.Resizer.e1 ~late:r.Resizer.e4 "div initially";
+  let probe = Dfg.add_op dfg ~kind:Dfg.Add ~width:16 ~birth:r.Resizer.e4 () in
+  let early_of s o = Cfg.Edge_id.to_int s.(Dfg.Op_id.to_int o).Dfg.early in
+  let s = spans "add_op" in
+  Alcotest.(check int) "add_op: one span per op" (Dfg.op_count dfg) (Array.length s);
+  Alcotest.(check int) "add_op: an op without producers starts on its birth edge"
+    (Cfg.Edge_id.to_int r.Resizer.e4) (early_of s probe);
+  Dfg.add_dep dfg ~src:r.Resizer.add ~dst:probe ();
+  let s = spans "add_dep" in
+  Alcotest.(check int) "add_dep: the op now starts with its producer"
+    (Cfg.Edge_id.to_int r.Resizer.e1) (early_of s probe);
+  Dfg.fix_op dfg r.Resizer.sub;
+  let s = spans "fix_op" in
+  check_span s r.Resizer.sub ~early:r.Resizer.e4 ~late:r.Resizer.e4
+    "fix_op: sub stays on its birth edge";
+  check_span before r.Resizer.div ~early:r.Resizer.e1 ~late:r.Resizer.e4
+    "an array handed out earlier is left as it was"
+
 let test_topo_order () =
   let r = Resizer.table3 () in
   let order = Dfg.topo_order r.Resizer.dfg in
@@ -175,6 +215,8 @@ let suite =
     Alcotest.test_case "fixedness defaults" `Quick test_fixedness_defaults;
     Alcotest.test_case "interpolation spans" `Quick test_interpolation_spans;
     QCheck_alcotest.to_alcotest prop_span_contains_consistent_window;
+    Alcotest.test_case "span cache dropped on mutation" `Quick
+      test_spans_cache_invalidation;
   ]
 
 let () = Alcotest.run "dfg" [ ("dfg", suite) ]

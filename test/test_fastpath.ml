@@ -11,7 +11,11 @@
      its definition (paper Definition 2).
    - {!Schedule.conflicts} (per-instance booking index) against the
      placement-scan definition, on random schedules and after
-     {!Inject.swap_placements}. *)
+     {!Inject.swap_placements}.
+   - The slack flow's per-point re-budget memo, which has no switch: the
+     flow with events off (no recording, no replay) against the flow with
+     events on (hits replay what their miss recorded), and two events-on
+     runs against each other. *)
 
 (* ------------------------------------------------------------------ *)
 (* Reference slack: the list-based propagation over the node-level graph
@@ -287,6 +291,100 @@ let prop_conflict_index_matches_scan =
       agree sched
       && match Inject.swap_placements sched with Some s' -> agree s' | None -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Re-budget memo: schedules must not depend on the event mode, and the
+   replayed event stream must be reproducible. *)
+
+let outcome_digest = function
+  | Error e -> "error " ^ Flows.error_message e
+  | Ok r ->
+    let rep = r.Hls.report in
+    let b = Buffer.create 1024 in
+    Printf.bprintf b "%h %d %d\n" (Hls.total_area r) rep.Flows.relaxations
+      (List.length rep.Flows.recovery_log);
+    Array.iteri
+      (fun i p ->
+        match p with
+        | None -> Printf.bprintf b "%d -\n" i
+        | Some p ->
+          Printf.bprintf b "%d %d %h %h %s\n" i (Cfg.Edge_id.to_int p.Schedule.edge)
+            p.Schedule.start p.Schedule.eff_delay
+            (match p.Schedule.inst with
+            | Some id -> string_of_int (Alloc.Inst_id.to_int id)
+            | None -> "-"))
+      rep.Flows.schedule.Schedule.placements;
+    List.iter
+      (fun i -> Printf.bprintf b "fu%d %h\n" (Alloc.Inst_id.to_int i.Alloc.id) i.Alloc.point.Curve.delay)
+      (Alloc.instances rep.Flows.schedule.Schedule.alloc);
+    Digest.to_hex (Digest.string (Buffer.contents b))
+
+let memo_hits () =
+  Option.value ~default:0
+    (List.assoc_opt "sched.rebudget.memo_hits" (Obs.counters_snapshot ()))
+
+(* One slack-flow run of a freshly generated design; with [events] the
+   deterministic event stream as JSONL lines, else []. *)
+let run_slack ~events (seed, shape, scale, ii) =
+  let d = Random_design.generate ~shape ~seed () in
+  let design =
+    Hls.design ?ii ~name:d.Random_design.name
+      ~clock:(d.Random_design.suggested_clock *. scale)
+      d.Random_design.dfg
+  in
+  if events then Obs.Events.enable ~capacity:(1 lsl 20) () else Obs.Events.disable ();
+  Fun.protect ~finally:Obs.Events.disable @@ fun () ->
+  let mark = Obs.Events.mark () in
+  let r = Hls.run Flows.Slack_based design in
+  let evs =
+    if events then
+      List.map Obs.Events.to_jsonl_line
+        (Obs.Events.renumber
+           (List.filter Obs.Events.deterministic (Obs.Events.since ~mark)))
+    else []
+  in
+  (outcome_digest r, evs)
+
+let prop_memo_event_modes_agree =
+  QCheck.Test.make ~name:"slack flow: events on == events off; replay reproducible"
+    ~count:40
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Splitmix.create seed in
+      let point =
+        ( Splitmix.int rng 1_000_000,
+          Splitmix.choose rng (Array.of_list Random_design.all_shapes),
+          Splitmix.choose rng [| 0.7; 0.85; 1.0 |],
+          if Splitmix.int rng 3 = 0 then Some (1 + Splitmix.int rng 3) else None )
+      in
+      let off, _ = run_slack ~events:false point in
+      let on1, evs1 = run_slack ~events:true point in
+      let on2, evs2 = run_slack ~events:true point in
+      String.equal off on1 && String.equal on1 on2 && evs1 = evs2)
+
+(* The property above only compares modes; this fixed point shows the
+   events-on path really goes through the memo.  c040-line-mulheavy at the
+   fourth auto clock relaxes 21 times and recovers on the retry ladder, so
+   later attempts repeat earlier prefixes. *)
+let test_memo_hits_with_events () =
+  let e =
+    List.find
+      (fun (e : Corpus.entry) -> e.Corpus.name = "c040-line-mulheavy")
+      (Corpus.plan ~seed:42 ())
+  in
+  let ii = if e.Corpus.ii > 0 then Some e.Corpus.ii else None in
+  let design =
+    Hls.design ?ii ~name:e.Corpus.name ~clock:(e.Corpus.clock_ps *. 1.1)
+      (Corpus.design e).Random_design.dfg
+  in
+  Obs.Events.enable ~capacity:(1 lsl 20) ();
+  Fun.protect ~finally:Obs.Events.disable @@ fun () ->
+  let hits0 = memo_hits () in
+  (match Hls.run Flows.Slack_based design with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "c040 point failed: %s" (Flows.error_message e));
+  Alcotest.(check bool) "events-on run hits the re-budget memo" true
+    (memo_hits () - hits0 > 0)
+
 let () =
   Alcotest.run "fastpath"
     [
@@ -296,5 +394,7 @@ let () =
             prop_kernel_matches_reference;
             prop_graph_matches_definition;
             prop_conflict_index_matches_scan;
-          ] );
+            prop_memo_event_modes_agree;
+          ]
+        @ [ Alcotest.test_case "re-budget memo exercised" `Quick test_memo_hits_with_events ] );
     ]

@@ -2,7 +2,8 @@
 
    Every point of a fixed, seeded set — the four paper kernels under all
    three flows, a sample of each corpus class over its auto clock grid, a
-   pipelined (ii > 0) design and a known-infeasible point — is run through
+   pipelined (ii > 0) design, a known-infeasible point and hand-picked
+   points that recover on the retry ladder or relax many times — is run through
    [Hls.run] and summarised as one TSV row: status, total area ([%h],
    bit-exact), control steps, relaxations, area-recovery regrades, an MD5
    of every placement (edge, step, start, effective delay, instance) and
@@ -103,6 +104,36 @@ let corpus_points () =
         (List.init 8 Fun.id))
     (sample @ pipelined)
 
+(* Hand-picked corpus points on top of the sample: the only two points of
+   the 1600-point corpus grid whose recovery ladder ends [ok] (each
+   recovers on its second rung), and slack-flow points from further
+   designs that need many relaxation attempts, where later attempts
+   repeat the placements of earlier ones.  [k] indexes the auto clock grid
+   as in [corpus_points]. *)
+let ladder_points () =
+  let entries = Corpus.plan ~seed:42 () in
+  let picks =
+    [
+      ("c040-line-mulheavy", 3); ("c081-diamond-mulheavy", 0);
+      ("c044-line-mulheavy", 0); ("c019-nest-mulheavy", 0);
+      ("c053-diamond-mulheavy", 0); ("c061-diamond-medium", 0);
+      ("c060-line-medium", 0); ("c038-loop-medium", 0); ("c025-diamond-tiny", 0);
+      ("c099-nest-mulheavy", 1); ("c048-line-mulheavy", 1); ("c051-nest-medium", 5);
+      ("c031-nest-medium", 6); ("c035-nest-medium", 0); ("c017-diamond-mulheavy", 1);
+    ]
+  in
+  List.map
+    (fun (name, k) ->
+      let e = List.find (fun (e : Corpus.entry) -> e.Corpus.name = name) entries in
+      let ii = if e.Corpus.ii > 0 then Some e.Corpus.ii else None in
+      let clock = e.Corpus.clock_ps *. (0.8 +. (0.1 *. float_of_int k)) in
+      {
+        label = name;
+        design = Hls.design ?ii ~name ~clock (Corpus.design e).Random_design.dfg;
+        flow = Flows.Slack_based;
+      })
+    picks
+
 let placement_digest sched =
   let b = Buffer.create 4096 in
   Array.iteri
@@ -188,7 +219,7 @@ let header =
 let table () =
   Obs.Events.enable ~capacity:(1 lsl 20) ();
   Fun.protect ~finally:Obs.Events.disable @@ fun () ->
-  let rows = List.map row (kernel_points () @ corpus_points ()) in
+  let rows = List.map row (kernel_points () @ corpus_points () @ ladder_points ()) in
   String.concat "\n" (header :: rows) ^ "\n"
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all

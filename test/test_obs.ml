@@ -102,6 +102,71 @@ let test_snapshot_determinism () =
   Alcotest.(check bool) "the run bumps sched.placements" true
     (lookup "sched.placements" d1 > 0)
 
+(* Where a scheduler pass spends its time: inside [flow.schedule], the
+   per-edge list sweeps ([sched.list]), respans, re-budgets and the final
+   retiming ([sched.retime]) must cover at least 90% of the parent's wall
+   clock, summed over the slack and conventional flows on the IDCT kernel
+   and two corpus-like designs.  One round is ~10 ms, so a single
+   preemption landing between child spans can cost it 20 points of
+   coverage on a loaded host; the check takes the median of nine rounds. *)
+let test_schedule_span_coverage () =
+  let paths_total before after pred =
+    List.fold_left
+      (fun acc (path, _, ns) ->
+        if pred path then
+          let ns0 =
+            match List.find_opt (fun (p, _, _) -> String.equal p path) before with
+            | Some (_, _, ns0) -> ns0
+            | None -> 0.0
+          in
+          acc +. (ns -. ns0)
+        else acc)
+      0.0 after
+  in
+  let last_two path =
+    match List.rev (String.split_on_char '/' path) with
+    | leaf :: parent :: _ -> (parent, leaf)
+    | [ leaf ] -> ("", leaf)
+    | [] -> ("", "")
+  in
+  let designs =
+    idct_design ()
+    :: List.map
+         (fun seed ->
+           let d = Random_design.generate ~shape:Random_design.Nest ~seed () in
+           Hls.design ~name:d.Random_design.name
+             ~clock:(0.9 *. d.Random_design.suggested_clock)
+             d.Random_design.dfg)
+         [ 5; 11 ]
+  in
+  Obs.enable_stats ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let round () =
+    let before = Obs.span_stats () in
+    List.iter
+      (fun d ->
+        List.iter
+          (fun flow -> ignore (Hls.run flow d))
+          [ Flows.Slack_based; Flows.Conventional ])
+      designs;
+    let after = Obs.span_stats () in
+    let parent = paths_total before after (fun p -> snd (last_two p) = "flow.schedule") in
+    let children =
+      paths_total before after (fun p ->
+          match last_two p with
+          | "flow.schedule", ("sched.list" | "sched.respan" | "sched.rebudget" | "sched.retime")
+            -> true
+          | _ -> false)
+    in
+    Alcotest.(check bool) "flow.schedule was timed" true (parent > 0.0);
+    children /. parent
+  in
+  let coverages = List.sort Float.compare (List.init 9 (fun _ -> round ())) in
+  let coverage = List.nth coverages 4 in
+  if coverage < 0.9 then
+    Alcotest.failf "sched.* spans cover %.1f%% of flow.schedule (median of 9; need >= 90%%)"
+      (100.0 *. coverage)
+
 (* Paper §IV-V: one slack analysis is two linear passes, each relaxing
    every timed-DFG edge exactly once — so the relaxation counter must grow
    as 2.E per analysis, at every design size.  The Bellman-Ford baseline's
@@ -457,5 +522,7 @@ let () =
             `Quick test_telemetry_roundtrip;
           Alcotest.test_case "prometheus exposition format" `Quick
             test_expo_render;
+          Alcotest.test_case "sched.* spans cover flow.schedule" `Quick
+            test_schedule_span_coverage;
         ] );
     ]

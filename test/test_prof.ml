@@ -70,6 +70,31 @@ let test_span_alloc_off () =
     Alcotest.(check (float 0.0)) "minor words zero" 0.0 r.Obs.Prof.minor_words;
     Alcotest.(check (float 0.0)) "major words zero" 0.0 r.Obs.Prof.major_words
 
+(* The profiler must not feed its own allocation into what it measures:
+   a span allocates exactly as many words with profiling on as with it
+   off (no GC-stat record per sample). *)
+let span_words ~prof =
+  Obs.reset ();
+  Obs.enable_stats ();
+  if prof then Obs.Prof.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Prof.disable ();
+      Obs.disable ();
+      Obs.reset ())
+  @@ fun () ->
+  Obs.span "prof_cost" (fun () -> ());
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Obs.span "prof_cost" (fun () -> ())
+  done;
+  (Gc.minor_words () -. w0) /. 1000.0
+
+let test_span_sampling_alloc_free () =
+  let off = span_words ~prof:false in
+  let on = span_words ~prof:true in
+  Alcotest.(check (float 0.0)) "words per span, profiling on - off" 0.0 (on -. off)
+
 (* Snapshots round-trip exactly through their JSON document.  Values are
    chosen representable in the emitter's %.6g float format, so the
    serialize-parse-serialize chain is a fixed point. *)
@@ -279,6 +304,8 @@ let () =
             test_span_alloc_aggregation;
           Alcotest.test_case "alloc fields zero with profiling off" `Quick
             test_span_alloc_off;
+          Alcotest.test_case "span sampling allocates nothing" `Quick
+            test_span_sampling_alloc_free;
         ] );
       ( "snapshot",
         [
