@@ -18,8 +18,9 @@
      corpus   generate or verify the seeded ~100-design validation corpus
               manifest (corpus/manifest.tsv); --verify exits non-zero on
               any digest drift
-     sweep    sharded exploration driver: spawn N shard processes over one
-              design or a whole corpus, merge their journals and fold the
+     sweep    sharded exploration driver: lease one design's or a whole
+              corpus's grid to hlsc serve daemons (remote --workers, or
+              --shards local ones), merge their journals and fold the
               frontier a single process would have produced
      merge-journals  validate disjoint shard journals (config-fingerprint
               agreement, no cross-journal key overlap), collapse resume
@@ -27,10 +28,11 @@
      fuzz     seeded random designs through every flow under validation
      dot      dump Graphviz renderings
      serve    supervised synthesis daemon: concurrent run/explore requests
-              over a Unix or loopback TCP socket, sharing one warm cache
-              and one domain pool, with per-request deadlines, admission
-              control (load shedding past a high-water mark), crash
-              containment with retry/backoff, and graceful drain on
+              (builtins, --corpus entries, or an optional SOURCE file's
+              process) over a Unix or loopback TCP socket, sharing one
+              warm cache and one domain pool, with per-request deadlines,
+              admission control (load shedding past a high-water mark),
+              crash containment with retry/backoff, and graceful drain on
               SIGTERM/SIGINT (exit 5 + journal, resumable by explore
               --resume)
      request  client for serve: send one request, print the response,
@@ -107,7 +109,11 @@ let builtin_designs =
         (f.Fir.dfg, 2500.0));
   ]
 
-let load_design ~source ~builtin ~clock =
+(* Resolve the design to its name, clock and a pure builder thunk — each
+   explore pool worker rebuilds its own graph, so no DFG is shared across
+   domains.  The first build happens here so configuration problems
+   surface as usage errors before any domain or daemon is spawned. *)
+let load_builder ~source ~builtin ~clock =
   match (source, builtin) with
   | Some path, None -> (
     match Parser.parse_file_result path with
@@ -117,16 +123,20 @@ let load_design ~source ~builtin ~clock =
     | exception Sys_error m -> Error (Internal m)
     | Ok p -> (
       match Elaborate.elaborate p with
-      | e ->
-        let clock = Option.value ~default:2500.0 clock in
-        Ok (Hls.design ~name:p.Ast.proc_name ~clock e.Elaborate.dfg)
+      | _ ->
+        let build () =
+          match Parser.parse_file_result path with
+          | Ok p -> (Elaborate.elaborate p).Elaborate.dfg
+          | Error d -> failwith (Parser.diagnostic_message d)
+        in
+        Ok (p.Ast.proc_name, Option.value ~default:2500.0 clock, build)
       | exception Elaborate.Error m ->
         Error (Usage (Printf.sprintf "%s: elaboration error: %s" path m))))
   | None, Some name -> (
     match List.assoc_opt name builtin_designs with
     | Some mk ->
-      let dfg, default_clock = mk () in
-      Ok (Hls.design ~name ~clock:(Option.value ~default:default_clock clock) dfg)
+      let _, default_clock = mk () in
+      Ok (name, Option.value ~default:default_clock clock, fun () -> fst (mk ()))
     | None ->
       Error
         (Usage
@@ -134,6 +144,12 @@ let load_design ~source ~builtin ~clock =
               (String.concat ", " (List.map fst builtin_designs)))))
   | Some _, Some _ -> Error (Usage "pass either a source file or --design, not both")
   | None, None -> Error (Usage "pass a source file or --design NAME")
+
+(* The one-shot subcommands (run, compare, ...) build the design once. *)
+let load_design ~source ~builtin ~clock =
+  Result.map
+    (fun (name, clock, build) -> Hls.design ~name ~clock (build ()))
+    (load_builder ~source ~builtin ~clock)
 
 let flow_of = function
   | "conventional" | "conv" -> Ok Flows.Conventional
@@ -441,43 +457,13 @@ let dot_cmd source builtin clock lib flow validate max_recoveries output stats t
      | () -> Ok ()
      | exception Sys_error m -> Error (Internal m))
 
-(* explore: resolve the design to a pure builder thunk — each pool worker
-   rebuilds its own graph, so no DFG is shared across domains.  The first
-   build happens here so configuration problems surface as usage errors
-   before any domain is spawned. *)
-let load_builder ~source ~builtin ~clock =
-  match (source, builtin) with
-  | Some path, None -> (
-    match Parser.parse_file_result path with
-    | Error d ->
-      Error
-        (Usage (Printf.sprintf "%s: syntax error: %s" path (Parser.diagnostic_message d)))
-    | exception Sys_error m -> Error (Internal m)
-    | Ok p -> (
-      match Elaborate.elaborate p with
-      | _ ->
-        let build () =
-          match Parser.parse_file_result path with
-          | Ok p -> (Elaborate.elaborate p).Elaborate.dfg
-          | Error d -> failwith (Parser.diagnostic_message d)
-        in
-        Ok (p.Ast.proc_name, Option.value ~default:2500.0 clock, build)
-      | exception Elaborate.Error m ->
-        Error (Usage (Printf.sprintf "%s: elaboration error: %s" path m))))
-  | None, Some name -> (
-    match List.assoc_opt name builtin_designs with
-    | Some mk ->
-      let _, default_clock = mk () in
-      Ok (name, Option.value ~default:default_clock clock, fun () -> fst (mk ()))
-    | None ->
-      Error
-        (Usage
-           (Printf.sprintf "unknown builtin %S (try: %s)" name
-              (String.concat ", " (List.map fst builtin_designs)))))
-  | Some _, Some _ -> Error (Usage "pass either a source file or --design, not both")
-  | None, None -> Error (Usage "pass a source file or --design NAME")
-
 let grid_axis label parse spec = Result.map_error (fun m -> Usage (label ^ ": " ^ m)) (parse spec)
+
+(* The clock axis: an explicit --clocks spec, or 'auto' — 8 points from
+   0.8x to 1.5x the design's base clock [c]. *)
+let clock_axis ~base:c spec =
+  if spec = "auto" then Ok (List.init 8 (fun k -> c *. (0.8 +. (0.1 *. float_of_int k))))
+  else grid_axis "--clocks" Explore_grid.parse_clocks spec
 
 (* --shard i/N: 1-based rank over N disjoint key-range shards. *)
 let parse_shard = function
@@ -526,12 +512,7 @@ let explore_cmd source builtin clock lib validate max_recoveries clocks flows ii
     (let* lib = lib_of lib in
      let* config = config_of validate max_recoveries in
      let* name, base_clock, build = load_builder ~source ~builtin ~clock in
-     let* clocks =
-       if clocks = "auto" then
-         (* 0.8x .. 1.5x the design's base clock, 8 points. *)
-         Ok (List.init 8 (fun k -> base_clock *. (0.8 +. (0.1 *. float_of_int k))))
-       else grid_axis "--clocks" Explore_grid.parse_clocks clocks
-     in
+     let* clocks = clock_axis ~base:base_clock clocks in
      let* flows = grid_axis "--flows" Explore_grid.parse_flows flows in
      let* iis = grid_axis "--ii" Explore_grid.parse_iis iis in
      let* recover = grid_axis "--recover" Explore_grid.parse_recover recover in
@@ -1131,7 +1112,7 @@ let address_name = function
   | Server.Unix_sock p -> p
   | Server.Tcp p -> Printf.sprintf "127.0.0.1:%d" p
 
-let serve_cmd socket port lib validate max_recoveries jobs high_water
+let serve_cmd source socket port lib validate max_recoveries jobs high_water
     drain_deadline read_timeout deadline point_deadline retries backoff
     journal_file cache_file corpus once request_script drain_after_points metrics
     telemetry stats trace events force no_crash =
@@ -1158,6 +1139,16 @@ let serve_cmd socket port lib validate max_recoveries jobs high_water
           entries;
         Ok (Some (fun name -> Hashtbl.find_opt tbl name))
     in
+    (* SOURCE: serve a behavioral source file under its process name,
+       registered ahead of the builtins so none can shadow it — what a
+       sweep of that file leases to. *)
+    let* source_design =
+      match source with
+      | None -> Ok []
+      | Some _ ->
+        let* name, clock, build = load_builder ~source ~builtin:None ~clock:None in
+        Ok [ (name, fun () -> (build (), clock)) ]
+    in
     let* () = if jobs < 1 then Error (Usage "--jobs must be at least 1") else Ok () in
     let* () =
       if high_water < 1 then Error (Usage "--high-water must be at least 1")
@@ -1183,7 +1174,7 @@ let serve_cmd socket port lib validate max_recoveries jobs high_water
         backoff;
         lib;
         flow_config = config;
-        designs = List.map (fun (n, mk) -> (n, mk)) builtin_designs;
+        designs = source_design @ builtin_designs;
         resolver;
         journal_path = journal_file;
         cache_path = cache_file;
@@ -1440,58 +1431,113 @@ let mkdir_p dir =
   in
   go dir
 
-let spawn_child ~log argv =
-  let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () -> Unix.create_process Sys.executable_name (Array.of_list argv) Unix.stdin fd fd)
-
-let wait_child pid =
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED c -> c
-  | _, Unix.WSIGNALED s | _, Unix.WSTOPPED s -> 128 + s
-
-(* Children must see the exact float values the parent planned with, so
-   clock axes are serialized as hex floats (%h round-trips bit-exactly
+(* Workers must see the exact float values the supervisor planned with,
+   so clock axes are serialized as hex floats (%h round-trips bit-exactly
    through the grid parser's [float_of_string]). *)
 let clocks_spec_of clocks = String.concat "," (List.map (Printf.sprintf "%h") clocks)
 
-(* Run the shard children, tolerate the explore exit contract (0 ok, 4 all
-   points infeasible — data, the merge decides), propagate interrupts. *)
-let run_children children =
-  let results =
-    List.map (fun (i, log, argv) -> (i, log, wait_child (spawn_child ~log argv))) children
-  in
-  List.fold_left
-    (fun acc (i, log, code) ->
-      let* () = acc in
-      match code with
-      | 0 | 4 -> Ok ()
-      | 5 ->
-        Error
-          (Interrupted
-             (Printf.sprintf "shard %d was interrupted; its journal is resumable (log: %s)"
-                i log))
-      | c ->
-        Error
-          (Internal (Printf.sprintf "shard %d exited %d (log: %s)" i c log)))
-    (Ok ()) results
-
-(* The per-design grid of a corpus sweep: 'auto' clocks span the design's
-   own suggested period, and a manifest II constraint pins the II axis. *)
-let corpus_grid ~clocks_spec ~flows ~iis ~recover (e : Corpus.entry) =
-  let* clocks =
-    if clocks_spec = "auto" then
-      Ok (List.init 8 (fun k -> e.Corpus.clock_ps *. (0.8 +. (0.1 *. float_of_int k))))
-    else grid_axis "--clocks" Explore_grid.parse_clocks clocks_spec
-  in
-  let iis = if e.Corpus.ii > 0 then [ Some e.Corpus.ii ] else iis in
-  Result.map_error (fun m -> Usage m) (Explore_grid.make ~clocks ~flows ~iis ~recover ())
+let map_ok f l =
+  Result.map List.rev
+    (List.fold_left
+       (fun acc x ->
+         let* acc = acc in
+         let* y = f x in
+         Ok (y :: acc))
+       (Ok []) l)
 
 let rec take_n n = function
   | [] -> []
   | _ when n <= 0 -> []
   | x :: tl -> x :: take_n (n - 1) tl
+
+(* Reap a child, retrying when a signal interrupts the wait. *)
+let rec reap pid =
+  match Unix.waitpid [] pid with
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
+  | exception Unix.Unix_error _ -> ()
+
+(* The local shards of a sweep: [shards] hlsc serve daemons, passed
+   [args], leased to exactly like remote workers.  Their sockets live in
+   a fresh private temp directory (unix socket paths are capped near 107
+   bytes, and DIR may be deeper); each daemon writes its output to
+   DIR/shard-i.log.  [k] gets the worker list once every daemon answers a
+   health probe.  The daemons are drained with SIGTERM and reaped on
+   every exit path, and a SIGINT/SIGTERM to the sweep is forwarded to
+   them, so the supervisor sees its pool drain and stops resumably. *)
+let with_local_daemons ~dir ~shards ~args k =
+  let sock_dir = Filename.temp_dir "hlsc-sweep" "" in
+  let shard_ids = List.init shards (fun k -> k + 1) in
+  let log i = Filename.concat dir (Printf.sprintf "shard-%d.log" i) in
+  let sock i = Filename.concat sock_dir (Printf.sprintf "shard-%d.sock" i) in
+  (* (shard, pid) of every daemon started and not yet reaped *)
+  let pids = ref [] in
+  let stop () =
+    List.iter
+      (fun (_, pid) -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
+      !pids
+  in
+  let forward = Sys.Signal_handle (fun _ -> stop ()) in
+  let prev_int = Sys.signal Sys.sigint forward in
+  let prev_term = Sys.signal Sys.sigterm forward in
+  Fun.protect
+    ~finally:(fun () ->
+      stop ();
+      List.iter (fun (_, pid) -> reap pid) !pids;
+      Sys.set_signal Sys.sigint prev_int;
+      Sys.set_signal Sys.sigterm prev_term;
+      List.iter (fun i -> try Sys.remove (sock i) with Sys_error _ -> ()) shard_ids;
+      try Sys.rmdir sock_dir with Sys_error _ -> ())
+  @@ fun () ->
+  let* () =
+    try
+      List.iter
+        (fun i ->
+          let fd =
+            Unix.openfile (log i) [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+          in
+          let argv = [ Sys.executable_name; "serve"; "--socket"; sock i ] @ args in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              let pid =
+                Unix.create_process Sys.executable_name (Array.of_list argv) Unix.stdin
+                  fd fd
+              in
+              pids := (i, pid) :: !pids))
+        shard_ids;
+      Ok ()
+    with Unix.Unix_error (e, _, p) -> Error (Internal (p ^ ": " ^ Unix.error_message e))
+  in
+  let limit = 10.0 in
+  let give_up = Unix.gettimeofday () +. limit in
+  let health = "{\"op\":\"health\",\"id\":\"up\"}" in
+  let rec up (i, pid) =
+    match Client.one_shot ~deadline_s:limit (Client.Unix_path (sock i)) health with
+    | Ok _ -> Ok ()
+    | Error _ -> (
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ when Unix.gettimeofday () < give_up ->
+        Unix.sleepf 0.005;
+        up (i, pid)
+      | 0, _ ->
+        Error
+          (Internal
+             (Printf.sprintf
+                "local shard daemon %d did not answer health within %.0fs (log: %s)" i
+                limit (log i)))
+      | _ ->
+        pids := List.remove_assoc i !pids;
+        Error
+          (Internal
+             (Printf.sprintf "local shard daemon %d exited at startup (log: %s)" i
+                (log i)))
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> up (i, pid))
+  in
+  let* () =
+    List.fold_left (fun acc d -> Result.bind acc (fun () -> up d)) (Ok ()) (List.rev !pids)
+  in
+  k (List.map (fun i -> (Printf.sprintf "shard-%d" i, Client.Unix_path (sock i))) shard_ids)
 
 (* --workers: "HOST:PORT,unix:PATH,..." — the remote hlsc serve daemons a
    distributed sweep leases shard ranges to. *)
@@ -1504,8 +1550,9 @@ let parse_workers spec =
       | Some i -> (
         let host = String.sub s 0 i in
         match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-        | Some port when host <> "" -> Ok (s, Client.Tcp (host, port))
-        | _ -> Error (Usage (Printf.sprintf "--workers: bad port in %S" s)))
+        | Some port when host <> "" && port >= 1 && port <= 65535 ->
+          Ok (s, Client.Tcp (host, port))
+        | _ -> Error (Usage (Printf.sprintf "--workers: bad port in %S (want 1-65535)" s)))
       | None ->
         Error
           (Usage (Printf.sprintf "--workers: %S is neither HOST:PORT nor unix:PATH" s))
@@ -1728,9 +1775,8 @@ let fleet_artifacts ~dir ~workers (o : Dispatch.outcome) =
   | Unix.Unix_error (e, _, p) -> Error (Internal (p ^ ": " ^ Unix.error_message e))
 
 let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows iis
-    recover corpus take shards shard journal_file dir jobs workers lease_points
-    lease_deadline heartbeat steal progress csv json stats trace events force
-    no_crash =
+    recover corpus take shards dir jobs workers lease_points lease_deadline heartbeat
+    steal progress csv json stats trace events force no_crash =
   with_obs ~stats ~trace ~events ~force ~no_crash @@ fun () ->
   finish
     (let* lib = lib_of lib_s in
@@ -1744,46 +1790,93 @@ let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows ii
      let* () =
        if jobs < 0 then Error (Usage "--jobs must be non-negative") else Ok ()
      in
-     let* shard = parse_shard shard in
-     let fingerprint = Explore.config_fingerprint config in
-     let lib_name = Library.name lib in
-     let full_key digest pkey =
-       Eval_cache.key ~digest ~lib:lib_name ~config:fingerprint ~point_key:pkey
+     let* () =
+       if lease_points < 1 then Error (Usage "--lease-points must be at least 1")
+       else Ok ()
      in
-     let jnl i = Filename.concat dir (Printf.sprintf "shard-%d.jnl" i) in
-     let merged_path = Filename.concat dir "merged.jnl" in
-     let merge () =
-       Result.map_error
-         (fun m -> Usage m)
-         (Shard.merge_journals
-            ~inputs:(List.init shards (fun k -> jnl (k + 1)))
-            ~output:merged_path)
-     in
-     let load_merged () =
-       Result.fold
-         ~ok:(fun (entries, _) -> Ok entries)
-         ~error:(fun m -> Error (Internal m))
-         (Journal.load ~path:merged_path)
+     let* () =
+       if lease_deadline <= 0.0 then Error (Usage "--lease-deadline must be positive")
+       else Ok ()
      in
      let* workers_l =
        match workers with
        | None -> Ok None
-       | Some spec ->
-         let* () =
-           if shard <> None then
-             Error (Usage "--workers drives remote daemons; drop --shard")
-           else Ok ()
-         in
-         let* l = parse_workers spec in
-         Ok (Some l)
+       | Some spec -> Result.map Option.some (parse_workers spec)
      in
-     (* Distributed mode: lease the key ranges to remote workers, then
-        journal and merge the returned records exactly as the local path
-        does — the frontier fold below cannot tell who evaluated what.
-        [Ok None] means no worker was reachable and the caller should
-        degrade to local shard children. *)
-     let dispatch_merged wl jobs_l =
-       mkdir_p dir;
+     let* entries =
+       match corpus with
+       | None -> Ok []
+       | Some manifest ->
+         let* _mseed, entries =
+           Result.map_error (fun m -> Usage (manifest ^ ": " ^ m))
+             (Corpus.load ~path:manifest)
+         in
+         let entries = match take with None -> entries | Some k -> take_n k entries in
+         if entries = [] then Error (Usage "corpus selection is empty") else Ok entries
+     in
+     (* The designs to sweep, as (name, base clock, pinned II, builder): one
+        for SOURCE/--design, or every selected corpus entry, whose 'auto'
+        clocks span its own suggested period and whose manifest II
+        constraint pins the II axis. *)
+     let* designs =
+       match corpus with
+       | None ->
+         let* name, base, build = load_builder ~source ~builtin ~clock in
+         Ok [ (name, base, None, build) ]
+       | Some _ ->
+         Ok
+           (List.map
+              (fun (e : Corpus.entry) ->
+                ( e.Corpus.name,
+                  e.Corpus.clock_ps,
+                  (if e.Corpus.ii > 0 then Some e.Corpus.ii else None),
+                  fun () -> (Corpus.design e).Random_design.dfg ))
+              entries)
+     in
+     let fingerprint = Explore.config_fingerprint config in
+     let lib_name = Library.name lib in
+     (* One dispatch job per design, next to the grid the fold replays. *)
+     let* specs =
+       map_ok
+         (fun (name, base, pin, build) ->
+           let* clocks_l = clock_axis ~base clocks in
+           let iis_s, iis_l =
+             match pin with Some ii -> (string_of_int ii, [ Some ii ]) | None -> (iis, iis_l)
+           in
+           let* grid =
+             Result.map_error (fun m -> Usage m)
+               (Explore_grid.make ~clocks:clocks_l ~flows:flows_l ~iis:iis_l
+                  ~recover:recover_l ())
+           in
+           let digest = Dfg.digest (build ()) in
+           Ok
+             ( (name, grid, build),
+               {
+                 Dispatch.design = name;
+                 clocks = clocks_spec_of clocks_l;
+                 flows;
+                 iis = iis_s;
+                 recover;
+                 point_deadline = None;
+                 keys = List.map Explore_grid.point_key (Explore_grid.points grid);
+                 key_of =
+                   (fun pkey ->
+                     Eval_cache.key ~digest ~lib:lib_name ~config:fingerprint
+                       ~point_key:pkey);
+               } ))
+         designs
+     in
+     let jobs_l = List.map snd specs in
+     let total_points =
+       List.fold_left (fun a (j : Dispatch.job) -> a + List.length j.Dispatch.keys) 0 jobs_l
+     in
+     let jnl i = Filename.concat dir (Printf.sprintf "shard-%d.jnl" i) in
+     let merged_path = Filename.concat dir "merged.jnl" in
+     (* Lease the key ranges to the workers, then journal the returned
+        records per worker and merge them — the fold below cannot tell who
+        evaluated what.  [unreachable] handles a pool with no worker
+        reachable at startup. *)
+     let dispatch_merged ~unreachable wl =
        let dcfg =
          {
            Dispatch.default_config with
@@ -1798,11 +1891,6 @@ let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows ii
               provenance files, so it cannot perturb byte-identity. *)
            trace_id = Some (Printf.sprintf "sweep-%d" (Unix.getpid ()));
          }
-       in
-       let total_points =
-         List.fold_left
-           (fun a (j : Dispatch.job) -> a + List.length j.Dispatch.keys)
-           0 jobs_l
        in
        (if progress then begin
           Obs.Events.enable ();
@@ -1844,10 +1932,7 @@ let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows ii
            (fun () -> Dispatch.run dcfg jobs_l)
        in
        match result with
-       | Error m ->
-         Printf.eprintf "hlsc: sweep: %s; falling back to local shard processes\n%!" m;
-         Dispatch.note_fallback_local ();
-         Ok None
+       | Error m -> unreachable m
        | Ok o ->
          Printf.printf
            "sweep: dispatched %d points to %d worker%s: %d leases, %d reassigned, \
@@ -1897,99 +1982,56 @@ let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows ii
                    (Option.value ~default:"interrupted" o.Dispatch.abort)
                    (List.length keys) total_points merged_path merged_path))
          else
-           let* entries = load_merged () in
-           Ok (Some entries)
+           Result.fold
+             ~ok:(fun (entries, _) -> Ok entries)
+             ~error:(fun m -> Error (Internal m))
+             (Journal.load ~path:merged_path)
      in
-     match corpus with
-     | None -> (
-       (* Single-design mode: shard-run the explore grid of one design via
-          N [hlsc explore --shard i/N] processes, merge, fold. *)
-       let* () =
-         match shard with
-         | None -> Ok ()
-         | Some _ ->
-           Error (Usage "--shard without --corpus: run hlsc explore --shard instead")
+     (* Local shards: daemons spawned for this sweep, with its evaluation
+        settings, so their records carry the same cache keys. *)
+     let local () =
+       let args =
+         [
+           "--jobs";
+           string_of_int (if jobs = 0 then Domain.recommended_domain_count () else jobs);
+           "--library"; lib_s; "--validate"; validate; "--max-recoveries";
+           string_of_int max_recoveries;
+         ]
+         @ (match corpus with Some m -> [ "--corpus"; m ] | None -> [])
+         @ Option.to_list source
        in
-       let* name, base_clock, build = load_builder ~source ~builtin ~clock in
-       let* clocks_l =
-         if clocks = "auto" then
-           Ok (List.init 8 (fun k -> base_clock *. (0.8 +. (0.1 *. float_of_int k))))
-         else grid_axis "--clocks" Explore_grid.parse_clocks clocks
-       in
-       let* grid =
-         Result.map_error (fun m -> Usage m)
-           (Explore_grid.make ~clocks:clocks_l ~flows:flows_l ~iis:iis_l
-              ~recover:recover_l ())
-       in
-       let local () =
-         mkdir_p dir;
-         let children =
-           List.init shards (fun k ->
-               let i = k + 1 in
-               let argv =
-                 [ Sys.executable_name; "explore" ]
-                 @ (match source with Some s -> [ s ] | None -> [])
-                 @ (match builtin with Some b -> [ "--design"; b ] | None -> [])
-                 @ (match clock with
-                   | Some c -> [ "--clock"; Printf.sprintf "%h" c ]
-                   | None -> [])
-                 @ [
-                     "--library"; lib_s; "--validate"; validate; "--max-recoveries";
-                     string_of_int max_recoveries; "--clocks"; clocks_spec_of clocks_l;
-                     "--flows"; flows; "--ii"; iis; "--recover"; recover; "--jobs";
-                     string_of_int jobs; "--shard";
-                     Printf.sprintf "%d/%d" i shards; "--journal"; jnl i;
-                   ]
-               in
-               (i, Filename.concat dir (Printf.sprintf "shard-%d.log" i), argv))
-         in
-         let* () = run_children children in
-         let* stats_m = merge () in
-         Printf.printf "sweep: %d shards -> %s: %d entries (%d duplicates)\n"
-           stats_m.Shard.journals merged_path stats_m.Shard.entries
-           stats_m.Shard.duplicates;
-         load_merged ()
-       in
-       let* resume =
-         match workers_l with
-         | None -> local ()
-         | Some wl -> (
-           let* () =
-             match source with
-             | Some _ ->
-               Error
-                 (Usage
-                    "--workers needs a --design name the remote daemons can \
-                     resolve, not a source file")
-             | None -> Ok ()
-           in
-           let digest = Dfg.digest (build ()) in
-           let job =
-             {
-               Dispatch.design = name;
-               clocks = clocks_spec_of clocks_l;
-               flows;
-               iis;
-               recover;
-               point_deadline = None;
-               keys =
-                 List.map Explore_grid.point_key (Explore_grid.points grid);
-               key_of = (fun pk -> full_key digest pk);
-             }
-           in
-           let* dispatched = dispatch_merged wl [ job ] in
-           match dispatched with
-           | Some entries -> Ok entries
-           | None -> local ())
-       in
-       (* The fold: every point is answered by the merged journal, so this
-          renders — byte-identically — what one process would have. *)
-       let* outcome =
-         match Explore.run ~jobs:1 ~resume ~lib ~config ~name ~build grid with
-         | o -> Ok o
-         | exception e ->
-           Error (Internal (Printf.sprintf "fold crashed: %s" (Printexc.to_string e)))
-       in
+       with_local_daemons ~dir ~shards ~args
+         (dispatch_merged ~unreachable:(fun m ->
+              Error (Internal ("local shard daemons: " ^ m))))
+     in
+     mkdir_p dir;
+     let* resume =
+       match workers_l with
+       | None -> local ()
+       | Some wl ->
+         dispatch_merged wl ~unreachable:(fun m ->
+             Printf.eprintf
+               "hlsc: sweep: %s; falling back to %d local hlsc serve daemon%s\n%!" m
+               shards
+               (if shards = 1 then "" else "s");
+             Dispatch.note_fallback_local ();
+             local ())
+     in
+     (* The fold: every point is answered by the merged journal, so this
+        renders — byte-identically — what one process would have. *)
+     let* outcomes =
+       map_ok
+         (fun ((name, grid, build), _) ->
+           match Explore.run ~jobs:1 ~resume ~lib ~config ~name ~build grid with
+           | o -> Ok o
+           | exception e ->
+             Error
+               (Internal
+                  (Printf.sprintf "fold of %s crashed: %s" name (Printexc.to_string e))))
+         specs
+     in
+     match (corpus, outcomes) with
+     | None, [ outcome ] ->
        let* () =
          match csv with
          | Some path -> write_rendering ~what:"CSV" path (Explore.to_csv outcome)
@@ -2006,255 +2048,92 @@ let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows ii
            (Flow_failed
               (Printf.sprintf "all %d grid points failed; frontier is empty"
                  outcome.Explore.total))
-       else Ok ())
-     | Some manifest -> (
-       let* _mseed, entries =
-         Result.map_error (fun m -> Usage (manifest ^ ": " ^ m))
-           (Corpus.load ~path:manifest)
+       else Ok ()
+     | _ ->
+       let outcomes = List.combine entries outcomes in
+       (* The corpus summary: frontier size and feasibility rate by design
+          class — EXPERIMENTS.md's table. *)
+       let row k =
+         let of_k =
+           List.filter (fun ((e : Corpus.entry), _) -> e.Corpus.klass = k) outcomes
+         in
+         if of_k = [] then None
+         else
+           let designs = List.length of_k in
+           let points =
+             List.fold_left (fun a (_, o) -> a + o.Explore.total) 0 of_k
+           in
+           let ok =
+             List.fold_left
+               (fun a (_, o) ->
+                 a + o.Explore.total - o.Explore.failed - o.Explore.timed_out
+                 - o.Explore.crashed)
+               0 of_k
+           in
+           let frontier =
+             List.fold_left
+               (fun a (_, o) -> a + List.length o.Explore.frontier)
+               0 of_k
+           in
+           Some (designs, points, ok, frontier)
        in
-       let entries =
-         match take with None -> entries | Some k -> take_n k entries
+       let t =
+         Text_table.create
+           ~headers:
+             [ "class"; "designs"; "points"; "feasible %"; "frontier"; "mean" ]
+       in
+       let csv_buf = Buffer.create 256 in
+       Buffer.add_string csv_buf "class,designs,points,ok,feasible_pct,frontier,frontier_mean\n";
+       List.iter
+         (fun k ->
+           match row k with
+           | None -> ()
+           | Some (designs, points, ok, frontier) ->
+             let pct =
+               if points = 0 then 0.0
+               else 100.0 *. float_of_int ok /. float_of_int points
+             in
+             let mean = float_of_int frontier /. float_of_int designs in
+             Text_table.add_row t
+               [
+                 Corpus.klass_name k; string_of_int designs; string_of_int points;
+                 Printf.sprintf "%.1f" pct; string_of_int frontier;
+                 Printf.sprintf "%.1f" mean;
+               ];
+             Buffer.add_string csv_buf
+               (Printf.sprintf "%s,%d,%d,%d,%.1f,%d,%.1f\n" (Corpus.klass_name k)
+                  designs points ok pct frontier mean))
+         Corpus.all_klasses;
+       Printf.printf "corpus sweep: %d designs, %d points\n" (List.length outcomes)
+         total_points;
+       print_string (Text_table.render t);
+       let* () =
+         match csv with
+         | Some path ->
+           write_rendering ~what:"corpus summary CSV" path (Buffer.contents csv_buf)
+         | None -> Ok ()
        in
        let* () =
-         if entries = [] then Error (Usage "corpus selection is empty") else Ok ()
-       in
-       (* Resolve every design once: grid, digest and builder.  Key order
-          is what the shard plan ranges over, identically in parent and
-          children. *)
-       let* specs =
-         List.fold_left
-           (fun acc (e : Corpus.entry) ->
-             let* acc = acc in
-             let* grid =
-               corpus_grid ~clocks_spec:clocks ~flows:flows_l ~iis:iis_l
-                 ~recover:recover_l e
-             in
-             let build () = (Corpus.design e).Random_design.dfg in
-             let digest = Dfg.digest (build ()) in
-             Ok ((e, grid, digest, build) :: acc))
-           (Ok []) entries
-       in
-       let specs = List.rev specs in
-       let all_keys =
-         List.concat_map
-           (fun (_, grid, digest, _) ->
-             List.map
-               (fun p -> full_key digest (Explore_grid.point_key p))
-               (Explore_grid.points grid))
-           specs
-       in
-       match shard with
-       | Some (rank, n) ->
-         (* Child mode: evaluate this shard's key range across every design
-            it touches, all into one journal. *)
-         let* jpath =
-           match journal_file with
-           | Some p -> Ok p
-           | None -> Error (Usage "--shard needs --journal FILE")
-         in
-         let plan = Shard.plan ~shards:n all_keys in
-         let mine = Hashtbl.create 256 in
-         List.iter (fun k -> Hashtbl.replace mine k ()) plan.(rank - 1);
-         let* w =
-           match Journal.start ~path:jpath ~fresh:true with
-           | w -> Ok w
-           | exception Unix.Unix_error (e, _, _) ->
-             Error (Internal (jpath ^ ": " ^ Unix.error_message e))
-         in
-         Fun.protect
-           ~finally:(fun () -> Journal.close w)
-           (fun () ->
-             List.iter
-               (fun ((e : Corpus.entry), grid, digest, build) ->
-                 let select pkey = Hashtbl.mem mine (full_key digest pkey) in
-                 let owned =
-                   List.exists
-                     (fun p -> select (Explore_grid.point_key p))
-                     (Explore_grid.points grid)
-                 in
-                 if owned then begin
-                   let o =
-                     Explore.run
-                       ?jobs:(if jobs = 0 then None else Some jobs)
-                       ~select ~journal:w ~lib ~config ~name:e.Corpus.name ~build
-                       grid
-                   in
-                   Printf.printf "shard %d/%d %s: %d points, %d ok\n" rank n
-                     e.Corpus.name o.Explore.total
-                     (o.Explore.total - o.Explore.failed - o.Explore.timed_out
-                    - o.Explore.crashed)
-                 end)
-               specs;
-             Ok ())
-       | None ->
-         (* Parent: spawn one child per shard, merge, fold the corpus. *)
-         let local () =
-           mkdir_p dir;
-           let children =
-             List.init shards (fun k ->
-                 let i = k + 1 in
-                 let argv =
-                   [
-                     Sys.executable_name; "sweep"; "--corpus"; manifest; "--library";
-                     lib_s; "--validate"; validate; "--max-recoveries";
-                     string_of_int max_recoveries; "--clocks"; clocks; "--flows";
-                     flows; "--ii"; iis; "--recover"; recover; "--jobs";
-                     string_of_int jobs; "--shards"; string_of_int shards; "--shard";
-                     Printf.sprintf "%d/%d" i shards; "--journal"; jnl i;
-                   ]
-                   @ (match take with
-                     | Some t -> [ "--take"; string_of_int t ]
-                     | None -> [])
-                 in
-                 (i, Filename.concat dir (Printf.sprintf "shard-%d.log" i), argv))
+         match json with
+         | Some path ->
+           let open Obs.Json in
+           let body =
+             to_string
+               (Obj
+                  [
+                    ("designs", Int (List.length outcomes));
+                    ("points", Int total_points);
+                    ( "frontier_total",
+                      Int
+                        (List.fold_left
+                           (fun a (_, o) -> a + List.length o.Explore.frontier)
+                           0 outcomes) );
+                  ])
            in
-           let* () = run_children children in
-           let* stats_m = merge () in
-           Printf.printf "sweep: %d shards -> %s: %d entries (%d duplicates)\n"
-             stats_m.Shard.journals merged_path stats_m.Shard.entries
-             stats_m.Shard.duplicates;
-           load_merged ()
-         in
-         let* resume =
-           match workers_l with
-           | None -> local ()
-           | Some wl -> (
-             (* One job per corpus design: the remote daemons resolve the
-                design names through their own --corpus manifest. *)
-             let* jobs_l =
-               List.fold_left
-                 (fun acc ((e : Corpus.entry), grid, digest, _build) ->
-                   let* acc = acc in
-                   let* clocks_le =
-                     if clocks = "auto" then
-                       Ok
-                         (List.init 8 (fun k ->
-                              e.Corpus.clock_ps *. (0.8 +. (0.1 *. float_of_int k))))
-                     else grid_axis "--clocks" Explore_grid.parse_clocks clocks
-                   in
-                   let iis_s =
-                     if e.Corpus.ii > 0 then string_of_int e.Corpus.ii else iis
-                   in
-                   Ok
-                     ({
-                        Dispatch.design = e.Corpus.name;
-                        clocks = clocks_spec_of clocks_le;
-                        flows;
-                        iis = iis_s;
-                        recover;
-                        point_deadline = None;
-                        keys =
-                          List.map Explore_grid.point_key (Explore_grid.points grid);
-                        key_of = (fun pk -> full_key digest pk);
-                      }
-                     :: acc))
-                 (Ok []) specs
-             in
-             let* dispatched = dispatch_merged wl (List.rev jobs_l) in
-             match dispatched with
-             | Some entries -> Ok entries
-             | None -> local ())
-         in
-         let* outcomes =
-           List.fold_left
-             (fun acc ((e : Corpus.entry), grid, _digest, build) ->
-               let* acc = acc in
-               match
-                 Explore.run ~jobs:1 ~resume ~lib ~config ~name:e.Corpus.name
-                   ~build grid
-               with
-               | o -> Ok ((e, o) :: acc)
-               | exception exn ->
-                 Error
-                   (Internal
-                      (Printf.sprintf "fold of %s crashed: %s" e.Corpus.name
-                         (Printexc.to_string exn))))
-             (Ok []) specs
-         in
-         let outcomes = List.rev outcomes in
-         (* The corpus summary: frontier size and feasibility rate by design
-            class — EXPERIMENTS.md's table. *)
-         let row k =
-           let of_k =
-             List.filter (fun ((e : Corpus.entry), _) -> e.Corpus.klass = k) outcomes
-           in
-           if of_k = [] then None
-           else
-             let designs = List.length of_k in
-             let points =
-               List.fold_left (fun a (_, o) -> a + o.Explore.total) 0 of_k
-             in
-             let ok =
-               List.fold_left
-                 (fun a (_, o) ->
-                   a + o.Explore.total - o.Explore.failed - o.Explore.timed_out
-                   - o.Explore.crashed)
-                 0 of_k
-             in
-             let frontier =
-               List.fold_left
-                 (fun a (_, o) -> a + List.length o.Explore.frontier)
-                 0 of_k
-             in
-             Some (designs, points, ok, frontier)
-         in
-         let t =
-           Text_table.create
-             ~headers:
-               [ "class"; "designs"; "points"; "feasible %"; "frontier"; "mean" ]
-         in
-         let csv_buf = Buffer.create 256 in
-         Buffer.add_string csv_buf "class,designs,points,ok,feasible_pct,frontier,frontier_mean\n";
-         List.iter
-           (fun k ->
-             match row k with
-             | None -> ()
-             | Some (designs, points, ok, frontier) ->
-               let pct =
-                 if points = 0 then 0.0
-                 else 100.0 *. float_of_int ok /. float_of_int points
-               in
-               let mean = float_of_int frontier /. float_of_int designs in
-               Text_table.add_row t
-                 [
-                   Corpus.klass_name k; string_of_int designs; string_of_int points;
-                   Printf.sprintf "%.1f" pct; string_of_int frontier;
-                   Printf.sprintf "%.1f" mean;
-                 ];
-               Buffer.add_string csv_buf
-                 (Printf.sprintf "%s,%d,%d,%d,%.1f,%d,%.1f\n" (Corpus.klass_name k)
-                    designs points ok pct frontier mean))
-           Corpus.all_klasses;
-         Printf.printf "corpus sweep: %d designs, %d points\n" (List.length outcomes)
-           (List.length all_keys);
-         print_string (Text_table.render t);
-         let* () =
-           match csv with
-           | Some path ->
-             write_rendering ~what:"corpus summary CSV" path (Buffer.contents csv_buf)
-           | None -> Ok ()
-         in
-         let* () =
-           match json with
-           | Some path ->
-             let open Obs.Json in
-             let body =
-               to_string
-                 (Obj
-                    [
-                      ("designs", Int (List.length outcomes));
-                      ("points", Int (List.length all_keys));
-                      ( "frontier_total",
-                        Int
-                          (List.fold_left
-                             (fun a (_, o) -> a + List.length o.Explore.frontier)
-                             0 outcomes) );
-                    ])
-             in
-             write_rendering ~what:"JSON" path body
-           | None -> Ok ()
-         in
-         Ok ()))
+           write_rendering ~what:"JSON" path body
+         | None -> Ok ()
+       in
+       Ok ())
 
 let run_t =
   Cmd.v (Cmd.info "run" ~doc:"Run one scheduling flow and print the result")
@@ -2437,7 +2316,8 @@ let sweep_take_arg =
 
 let shards_arg =
   Arg.(value & opt int 3 & info [ "shards" ] ~docv:"N"
-         ~doc:"Number of shard processes to spawn (default 3).")
+         ~doc:"Number of local $(b,hlsc serve) daemons to spawn and lease to \
+               when no --workers are given or none is reachable (default 3).")
 
 let sweep_dir_arg =
   Arg.(value & opt string "sweep-out" & info [ "dir" ] ~docv:"DIR"
@@ -2447,11 +2327,12 @@ let sweep_dir_arg =
 let workers_arg =
   Arg.(value & opt (some string) None & info [ "workers" ] ~docv:"LIST"
          ~doc:"Comma-separated hlsc serve daemons (HOST:PORT or unix:PATH) to \
-               lease shard key-ranges to instead of spawning local shard \
-               processes.  Dead, partitioned or stalled workers are detected, \
+               lease shard key-ranges to instead of spawning --shards local \
+               daemons.  Dead, partitioned or stalled workers are detected, \
                their durable progress salvaged, and their leases reassigned; \
-               if no worker is reachable at all the sweep degrades to local \
-               shard processes.")
+               if no worker is reachable at startup the sweep spawns the \
+               local daemons after all.  Workers resolve the design by name: \
+               start them with the same SOURCE or --corpus MANIFEST.")
 
 let lease_points_arg =
   Arg.(value & opt int 8 & info [ "lease-points" ] ~docv:"N"
@@ -2480,31 +2361,34 @@ let steal_arg =
 
 let sweep_progress_arg =
   Arg.(value & flag & info [ "progress" ]
-         ~doc:"With --workers: print live dispatch progress (points done, \
-               live workers, active leases, reassignments) to stderr.")
+         ~doc:"Print live dispatch progress (points done, live workers, \
+               active leases, reassignments) to stderr.")
 
 let sweep_t =
   Cmd.v
     (Cmd.info "sweep"
-       ~doc:"Sharded exploration driver: spawn N shard processes, merge their \
-             journals, fold the frontier"
+       ~doc:"Sharded exploration driver: lease the grid to hlsc serve daemons, \
+             merge their journals, fold the frontier"
        ~man:
          [
            `S Manpage.s_description;
            `P
-             "Partitions the explore grid (single design) or grid x corpus \
-              (--corpus) by canonical key range into N disjoint shards, runs \
-              each shard as an independent process journaling to \
-              DIR/shard-i.jnl, merges with the merge-journals semantics, and \
-              folds the merged journal into the frontier a single process \
+             "Splits the explore grid (single design) or grid x corpus \
+              (--corpus) by canonical key range into leases of at most \
+              --lease-points points and leases them to hlsc serve daemons: \
+              the --workers pool, or else --shards daemons spawned for this \
+              sweep on private unix sockets (output in DIR/shard-i.log).  \
+              The returned records are journaled per worker to \
+              DIR/shard-i.jnl, merged with the merge-journals semantics into \
+              DIR/merged.jnl, and folded into the frontier a single process \
               would have produced — byte-identically.  The same partition can \
-              be run across machines instead: hlsc explore --shard i/N \
-              --journal shard-i.jnl on each, then hlsc merge-journals.";
+              be run by hand instead: one hlsc explore shard per machine, each \
+              journaling its key range, then hlsc merge-journals.";
          ])
     Term.(const sweep_cmd $ source_arg $ design_arg $ clock_arg $ lib_arg
           $ validate_arg $ max_recoveries_arg $ clocks_arg $ grid_flows_arg
           $ iis_arg $ recover_arg $ sweep_corpus_arg $ sweep_take_arg
-          $ shards_arg $ shard_arg $ journal_arg $ sweep_dir_arg $ jobs_arg
+          $ shards_arg $ sweep_dir_arg $ jobs_arg
           $ workers_arg $ lease_points_arg $ lease_deadline_arg $ heartbeat_arg
           $ steal_arg $ sweep_progress_arg $ csv_arg $ json_arg $ stats_arg
           $ trace_arg $ events_arg $ force_arg $ crash_arg)
@@ -2561,7 +2445,7 @@ let serve_t =
     (Cmd.info "serve"
        ~doc:"Supervised synthesis daemon: concurrent requests over a socket, \
              with admission control, load shedding and graceful drain")
-    Term.(const serve_cmd $ socket_arg $ port_arg $ lib_arg $ validate_arg
+    Term.(const serve_cmd $ source_arg $ socket_arg $ port_arg $ lib_arg $ validate_arg
           $ max_recoveries_arg $ serve_jobs_arg $ high_water_arg
           $ drain_deadline_arg $ read_timeout_arg $ serve_deadline_arg
           $ point_deadline_arg $ serve_retries_arg $ backoff_arg $ journal_arg

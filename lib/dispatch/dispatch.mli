@@ -1,5 +1,7 @@
 (** Fault-tolerant shard dispatch: drive a sweep by leasing key-ranges to
-    a pool of remote [hlsc serve] workers.
+    a pool of [hlsc serve] workers — remote daemons, or the local ones
+    [hlsc sweep --shards N] spawns on private unix sockets.  It is the
+    only way [hlsc sweep] evaluates points.
 
     The determinism contract does the heavy lifting: every grid point has
     a canonical cache key, evaluations are pure, and journal/cache lines
@@ -39,8 +41,9 @@
     Counters: [dispatch.leases] (grants), [dispatch.reassigned],
     [dispatch.stolen], [dispatch.salvaged_points],
     [dispatch.duplicate_replies], [dispatch.workers_lost],
-    [dispatch.fallback_local] (bumped by {!note_fallback_local} when the
-    CLI falls back to local child processes).  Progress is sampled as
+    [dispatch.fallback_local] (bumped by {!note_fallback_local} when no
+    [--workers] daemon is reachable and the CLI spawns local daemons
+    instead).  Progress is sampled as
     [Obs.Events.Dispatch_sample] roughly every 200ms while running. *)
 
 type job = {
@@ -106,10 +109,11 @@ type outcome = {
 
 val run : config -> job list -> (outcome, string) result
 (** Drive the jobs to completion across the configured workers.  [Error]
-    only when no worker is reachable at startup — the caller falls back
-    to a local sweep ({!note_fallback_local}).  Otherwise always [Ok]:
+    only when no worker is reachable at startup — the CLI then spawns
+    local daemons and runs the jobs on them ({!note_fallback_local}).  Otherwise always [Ok]:
     worker deaths mid-sweep are contained, and total loss surfaces as
     [complete = false] with the salvageable records present. *)
 
 val note_fallback_local : unit -> unit
-(** Count a degraded local-children fallback on [dispatch.fallback_local]. *)
+(** Count a fallback to locally spawned daemons on
+    [dispatch.fallback_local]. *)
