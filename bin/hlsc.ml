@@ -1096,8 +1096,10 @@ let metrics_arg =
   Arg.(value & opt (some int) None & info [ "metrics" ] ~docv:"PORT"
          ~doc:"Expose the daemon's counters and per-op latency \
                distributions in Prometheus text format over loopback HTTP \
-               on this port.  The scrape endpoint lives and dies with the \
-               daemon; poll a whole fleet at once with $(b,hlsc top).")
+               on this port; 0 lets the kernel pick a free one, which the \
+               \"metrics on\" line on stderr names.  The scrape endpoint lives \
+               and dies with the daemon; poll a whole fleet at once with \
+               $(b,hlsc top).")
 
 let serve_telemetry_arg =
   Arg.(value & flag & info [ "telemetry" ]
@@ -1224,7 +1226,7 @@ let serve_cmd source socket port lib validate max_recoveries jobs high_water
           cfg.Server.jobs
           (if cfg.Server.jobs = 1 then "" else "s")
           cfg.Server.high_water;
-        (match cfg.Server.metrics_port with
+        (match Server.metrics_port t with
         | Some p ->
           Printf.eprintf "hlsc serve: metrics on http://127.0.0.1:%d/metrics\n%!" p
         | None -> ());
@@ -1954,9 +1956,8 @@ let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows ii
                  Fun.protect
                    ~finally:(fun () -> Journal.close w)
                    (fun () ->
-                     List.iter
-                       (fun ck -> Journal.record w ~key:ck (Hashtbl.find tbl ck))
-                       range))
+                     Journal.record_all w
+                       (List.map (fun ck -> (ck, Hashtbl.find tbl ck)) range)))
                (Shard.plan ~shards:n keys);
              Ok ()
            with Unix.Unix_error (e, _, p) ->

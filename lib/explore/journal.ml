@@ -69,20 +69,25 @@ let start ~path ~fresh =
   end;
   { oc; fd; lock = Mutex.create (); closed = false }
 
-let record w ~key summary =
+let record_all w records =
   Mutex.lock w.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock w.lock)
     (fun () ->
       if not w.closed then begin
-        output_string w.oc (Eval_cache.entry_line key summary);
-        output_char w.oc '\n';
+        List.iter
+          (fun (key, summary) ->
+            output_string w.oc (Eval_cache.entry_line key summary);
+            output_char w.oc '\n')
+          records;
         flush w.oc;
-        (* The fsync is the crash-containment contract: once [record]
-           returns, a kill -9 cannot lose this point. *)
+        (* The fsync is the crash-containment contract: once this returns,
+           a kill -9 cannot lose these points. *)
         Unix.fsync w.fd;
-        Obs.incr c_records
+        Obs.add c_records (List.length records)
       end)
+
+let record w ~key summary = record_all w [ (key, summary) ]
 
 let close w =
   Mutex.lock w.lock;

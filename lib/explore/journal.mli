@@ -40,6 +40,14 @@ val record : writer -> key:string -> Eval_cache.summary -> unit
 (** Append one completed point and fsync.  Thread/domain-safe; a no-op
     after {!close}. *)
 
+val record_all : writer -> (string * Eval_cache.summary) list -> unit
+(** Append every [(key, summary)] in order, flush, and fsync once: the
+    file is byte-identical to the same records written with {!record}.
+    For records that already sit in memory (a merge's output, a
+    supervisor's per-worker journals); a sweep that journals points as
+    they complete must use {!record}, or a crash could lose every point
+    since the last fsync.  Thread/domain-safe; a no-op after {!close}. *)
+
 val close : writer -> unit
 
 val load : path:string -> ((string * Eval_cache.summary) list * int, string) result

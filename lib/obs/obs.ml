@@ -39,16 +39,43 @@ let value c = Atomic.get c.c_value
 (* ------------------------------------------------------------------ *)
 (* Distributions *)
 
+(* A distribution keeps exact count/sum/min/max and a bounded log-linear
+   histogram instead of its samples, so a snapshot costs the same however
+   many samples a long-lived daemon has seen.  A magnitude's bucket number
+   is its IEEE-754 bit pattern with all but the top [mantissa_bits]
+   mantissa bits shifted out: the biased exponent picks the binary octave
+   and the kept bits one of its 128 equal slices.  Bucket numbers are
+   monotone in |v| (infinities sit above every finite octave), shifting
+   one back gives the bucket's lower edge exactly, and an octave's counts
+   are allocated on its first sample.  For normal floats the lower edge
+   is within 1/128 of every sample in the bucket, and integers below 256
+   sit exactly on an edge.  Zero has its own bucket and negatives a
+   mirrored table. *)
+let mantissa_bits = 7
+let buckets = 1 lsl mantissa_bits
+let bucket_shift = 52 - mantissa_bits
+
 type dist = {
   d_name : string;
   mutable d_count : int;
   mutable d_sum : float;
   mutable d_min : float;
   mutable d_max : float;
-  d_values : float Vec.t;
+  mutable d_zero : int;
+  d_pos : (int, int array) Hashtbl.t;  (* octave -> bucket counts, v > 0 *)
+  d_neg : (int, int array) Hashtbl.t;  (* the same for v < 0, by |v| *)
 }
 
 let dists : (string, dist) Hashtbl.t = Hashtbl.create 16
+
+let clear d =
+  d.d_count <- 0;
+  d.d_sum <- 0.0;
+  d.d_min <- infinity;
+  d.d_max <- neg_infinity;
+  d.d_zero <- 0;
+  Hashtbl.reset d.d_pos;
+  Hashtbl.reset d.d_neg
 
 let dist name =
   locked @@ fun () ->
@@ -62,11 +89,16 @@ let dist name =
         d_sum = 0.0;
         d_min = infinity;
         d_max = neg_infinity;
-        d_values = Vec.create ();
+        d_zero = 0;
+        d_pos = Hashtbl.create 8;
+        d_neg = Hashtbl.create 1;
       }
     in
     Hashtbl.replace dists name d;
     d
+
+let bucket_of a = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float a) bucket_shift)
+let bucket_edge b = Int64.float_of_bits (Int64.shift_left (Int64.of_int b) bucket_shift)
 
 let observe d v =
   locked @@ fun () ->
@@ -74,7 +106,22 @@ let observe d v =
   d.d_sum <- d.d_sum +. v;
   if v < d.d_min then d.d_min <- v;
   if v > d.d_max then d.d_max <- v;
-  ignore (Vec.push d.d_values v)
+  if v = 0.0 then d.d_zero <- d.d_zero + 1
+  else begin
+    let b = bucket_of (Float.abs v) in
+    let tbl = if v < 0.0 then d.d_neg else d.d_pos in
+    let octave = b lsr mantissa_bits in
+    let counts =
+      match Hashtbl.find tbl octave with
+      | c -> c
+      | exception Not_found ->
+        let c = Array.make buckets 0 in
+        Hashtbl.replace tbl octave c;
+        c
+    in
+    let j = b land (buckets - 1) in
+    counts.(j) <- counts.(j) + 1
+  end
 
 type dist_stats = {
   n : int;
@@ -85,24 +132,44 @@ type dist_stats = {
   p95 : float;
 }
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-  sorted.(max 0 (min (n - 1) rank))
+(* Non-empty buckets of one sign as (edge, count), by ascending |v|. *)
+let occupied sign tbl =
+  Hashtbl.fold (fun e c acc -> (e, c) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.concat_map (fun (e, c) ->
+         List.filter_map
+           (fun j ->
+             if c.(j) = 0 then None
+             else Some (sign *. bucket_edge ((e lsl mantissa_bits) lor j), c.(j)))
+           (List.init buckets Fun.id))
 
 let dist_stats d =
+  locked @@ fun () ->
   if d.d_count = 0 then None
   else begin
-    let sorted = locked (fun () -> Vec.to_array d.d_values) in
-    Array.sort Float.compare sorted;
+    let ascending =
+      List.rev_append (occupied (-1.0) d.d_neg)
+        ((0.0, d.d_zero) :: occupied 1.0 d.d_pos)
+    in
+    (* Nearest rank: the edge of the bucket holding the ceil(p% * n)-th
+       smallest sample. *)
+    let percentile p =
+      let rank = int_of_float (ceil (p /. 100.0 *. float_of_int d.d_count)) - 1 in
+      let rank = max 0 (min (d.d_count - 1) rank) in
+      let rec go seen = function
+        | [] -> d.d_max
+        | (edge, c) :: rest -> if rank < seen + c then edge else go (seen + c) rest
+      in
+      Float.min d.d_max (Float.max d.d_min (go 0 ascending))
+    in
     Some
       {
         n = d.d_count;
         dmin = d.d_min;
         dmax = d.d_max;
         mean = d.d_sum /. float_of_int d.d_count;
-        p50 = percentile sorted 50.0;
-        p95 = percentile sorted 95.0;
+        p50 = percentile 50.0;
+        p95 = percentile 95.0;
       }
   end
 
@@ -883,7 +950,9 @@ end
 let reset () =
   locked @@ fun () ->
   Hashtbl.iter (fun _ c -> Atomic.set c.c_value 0) counters;
-  Hashtbl.reset dists;
+  (* Zeroed in place, like counters: module-level handles (area.*,
+     rtl.mux_fanin, ...) must keep reporting after a reset. *)
+  Hashtbl.iter (fun _ d -> clear d) dists;
   Hashtbl.reset st.span_aggs;
   Domain.DLS.set path_key [];
   st.trace_buf <- Vec.create ();
@@ -1680,11 +1749,7 @@ let report () =
           rows)
       groups
   end;
-  let dist_rows =
-    locked (fun () -> Hashtbl.fold (fun _ d acc -> (d.d_name, d) :: acc) dists [])
-    |> List.filter_map (fun (name, d) -> Option.map (fun s -> (name, s)) (dist_stats d))
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
+  let dist_rows = dists_snapshot () in
   if dist_rows <> [] then begin
     Buffer.add_string buf "== distributions ==\n";
     let t =

@@ -43,8 +43,16 @@ val value : counter -> int
 
 (** {1 Distributions}
 
-    Named value distributions (min/max/mean/p50/p95 over all observed
-    samples). *)
+    Named value distributions.  Count, sum, min, max and mean are exact.
+    Samples are not kept: each distribution holds a bounded log-linear
+    histogram (128 equal buckets per binary octave of |v|, an octave's
+    buckets allocated on its first sample, plus a zero bucket and
+    mirrored negative buckets), so {!dist_stats} costs the same however
+    many samples were observed.  p50/p95 are nearest-rank: the edge
+    nearest zero of the bucket holding the ranked sample, clamped to
+    [[min, max]].  That is within 1/128 relative error of the exact
+    nearest-rank sample for normal floats, and exact for integers with
+    |v| < 256. *)
 
 type dist
 
@@ -109,8 +117,9 @@ val disable : unit -> unit
 (** Back to the null sink.  Collected data is kept until {!reset}. *)
 
 val reset : unit -> unit
-(** Zero every counter, clear distributions, span aggregates, the trace
-    buffer and the event ring.  Sink enablement is unchanged. *)
+(** Zero every counter and distribution in place (handles stay live and
+    keep reporting), clear span aggregates, the trace buffer and the event
+    ring.  Sink enablement is unchanged. *)
 
 (** {1 Outputs} *)
 

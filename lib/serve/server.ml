@@ -97,6 +97,12 @@ type t = {
   note_point : unit -> unit;  (* drain-after-points bookkeeping *)
 }
 
+let metrics_port t =
+  Option.map
+    (fun fd ->
+      match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | Unix.ADDR_UNIX _ -> 0)
+    t.metrics_fd
+
 let drain ~reason t = Cancel.trigger ~reason t.drain_tok
 let draining t = Cancel.reason t.drain_tok <> None
 

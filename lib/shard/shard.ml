@@ -93,12 +93,9 @@ let merge_journals ~inputs ~output =
       Fun.protect
         ~finally:(fun () -> Journal.close w)
         (fun () ->
-          List.iter
-            (fun key ->
-              let _, summary = Hashtbl.find merged key in
-              Journal.record w ~key summary;
-              Obs.incr c_merged)
-            keys);
+          Journal.record_all w
+            (List.map (fun key -> (key, snd (Hashtbl.find merged key))) keys);
+          Obs.add c_merged (List.length keys));
       Obs.add c_duplicates !duplicates;
       Ok
         {

@@ -94,10 +94,19 @@ grep -q "identical:" "$DIR/diffev.out"
 
 # ---- phase 2: metrics scrape + top dashboard ----
 
-PORT=7913
-"$HLSC" serve --socket "$DIR/m.sock" --jobs 1 --telemetry --metrics $PORT \
+# Port 0: the kernel picks a free port, which the daemon's "metrics on"
+# line names (printed once it is listening, right after the socket).
+"$HLSC" serve --socket "$DIR/m.sock" --jobs 1 --telemetry --metrics 0 \
   >"$DIR/m.log" 2>&1 &
 wait_sock "$DIR/m.sock"
+PORT=
+for _ in $(seq 100); do
+  PORT=$(sed -n 's|^hlsc serve: metrics on http://127\.0\.0\.1:\([0-9]*\)/metrics$|\1|p' \
+    "$DIR/m.log")
+  [ -n "$PORT" ] && break
+  sleep 0.1
+done
+[ -n "$PORT" ] || { echo "no metrics port in m.log" >&2; exit 1; }
 "$HLSC" request --socket "$DIR/m.sock" ping >/dev/null
 
 scrape() {

@@ -487,6 +487,75 @@ let test_trace_json_shape () =
   Alcotest.(check bool) "span name present" true (has "\"test.trace\"");
   Alcotest.(check bool) "attr escaped" true (has "v\\\"q")
 
+(* The histogram against the exact computation it replaced: nearest rank
+   over a sorted copy of every sample. *)
+let nearest_rank sorted p =
+  let n = Array.length sorted in
+  let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
+  sorted.(max 0 (min (n - 1) rank))
+
+(* Zeros, small integers of both signs (exact territory) and magnitudes
+   from 2^-10 to 2^13: 23 octaves. *)
+let gen_sample =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return 0.0);
+        (3, map float_of_int (int_range (-300) 300));
+        ( 4,
+          map3
+            (fun neg m k -> (if neg then -1.0 else 1.0) *. Float.ldexp m k)
+            bool (float_range 1.0 2.0) (int_range (-10) 12) );
+      ])
+
+let oracle_runs = ref 0
+
+let prop_histogram_oracle =
+  QCheck.Test.make ~name:"histogram percentiles vs sorted nearest rank" ~count:300
+    QCheck.(
+      make ~print:Print.(list float) Gen.(list_size (int_range 1 400) gen_sample))
+    (fun samples ->
+      incr oracle_runs;
+      let d = Obs.dist (Printf.sprintf "test.obs.oracle.%d" !oracle_runs) in
+      List.iter (Obs.observe d) samples;
+      let sorted = Array.of_list samples in
+      Array.sort Float.compare sorted;
+      match Obs.dist_stats d with
+      | None -> false
+      | Some s ->
+        let ok p got =
+          let want = nearest_rank sorted p in
+          let within = Float.abs (got -. want) <= Float.abs want /. 128.0 in
+          let inside = s.Obs.dmin <= got && got <= s.Obs.dmax in
+          let exact =
+            (not (Float.is_integer want && Float.abs want < 256.0)) || got = want
+          in
+          if not (within && inside && exact) then
+            QCheck.Test.fail_reportf "p%g: got %h, nearest rank %h" p got want;
+          true
+        in
+        s.Obs.n = List.length samples
+        && s.Obs.dmin = sorted.(0)
+        && s.Obs.dmax = sorted.(Array.length sorted - 1)
+        && ok 50.0 s.Obs.p50 && ok 95.0 s.Obs.p95)
+
+(* A distribution interned at module initialisation, like area.total or
+   rtl.mux_fanin: Obs.reset must zero it in place, not orphan it. *)
+let d_module_level = Obs.dist "test.obs.reset.module_level"
+
+let test_reset_keeps_dists () =
+  Obs.observe d_module_level 1000.0;
+  Obs.reset ();
+  Obs.observe d_module_level 7.0;
+  Obs.observe d_module_level 9.0;
+  match List.assoc_opt "test.obs.reset.module_level" (Obs.dists_snapshot ()) with
+  | None -> Alcotest.fail "module-level dist missing from the snapshot after reset"
+  | Some s ->
+    Alcotest.(check int) "only post-reset samples" 2 s.Obs.n;
+    Alcotest.(check (float 1e-9)) "min" 7.0 s.Obs.dmin;
+    Alcotest.(check (float 1e-9)) "max" 9.0 s.Obs.dmax;
+    Alcotest.(check (float 1e-9)) "mean" 8.0 s.Obs.mean
+
 let () =
   Alcotest.run "obs"
     [
@@ -524,5 +593,8 @@ let () =
             test_expo_render;
           Alcotest.test_case "sched.* spans cover flow.schedule" `Quick
             test_schedule_span_coverage;
+          QCheck_alcotest.to_alcotest prop_histogram_oracle;
+          Alcotest.test_case "reset zeroes module-level dists in place" `Quick
+            test_reset_keeps_dists;
         ] );
     ]

@@ -281,6 +281,38 @@ let test_fingerprint_of_key () =
   | Ok _ -> Alcotest.fail "malformed key accepted"
   | Error _ -> ()
 
+(* [Journal.record_all] batches the fsync, nothing else: the file is the
+   same bytes as one [record] per point, it loads back to the same
+   records, and the records counter moves by the same amount. *)
+let test_record_all_matches_record () =
+  in_temp_dir @@ fun p ->
+  let records =
+    [
+      (full_key "p2", summ 20.0);
+      (full_key "p1", summ ~status:Eval_cache.Infeasible 0.0);
+      (full_key "p3", summ 30.5);
+      (full_key "p1", summ 11.0);
+    ]
+  in
+  let c_records = Obs.counter "explore.journal.records" in
+  let v0 = Obs.value c_records in
+  write_journal (p "one.jnl") records;
+  let v1 = Obs.value c_records in
+  let w = Journal.start ~path:(p "all.jnl") ~fresh:true in
+  Fun.protect
+    ~finally:(fun () -> Journal.close w)
+    (fun () -> Journal.record_all w records);
+  let v2 = Obs.value c_records in
+  Alcotest.(check int) "record counts one per point" (List.length records) (v1 - v0);
+  Alcotest.(check int) "record_all counts the same" (v1 - v0) (v2 - v1);
+  Alcotest.(check string) "byte-identical files" (read_file (p "one.jnl"))
+    (read_file (p "all.jnl"));
+  match Journal.load ~path:(p "all.jnl") with
+  | Error e -> Alcotest.fail e
+  | Ok (loaded, q) ->
+    Alcotest.(check int) "no quarantined lines" 0 q;
+    Alcotest.(check bool) "round-trips every record in order" true (loaded = records)
+
 let () =
   Alcotest.run "shard"
     [
@@ -315,5 +347,7 @@ let () =
             test_merge_allows_multiple_digests;
           Alcotest.test_case "fingerprint extraction" `Quick
             test_fingerprint_of_key;
+          Alcotest.test_case "record_all writes what record writes" `Quick
+            test_record_all_matches_record;
         ] );
     ]
