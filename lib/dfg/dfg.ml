@@ -243,20 +243,35 @@ let is_const o = match o.kind with Const _ -> true | _ -> false
 (* Spans are computed in two sweeps over the forward-topological order of
    operations: earlies forward, lates backward.  Candidate edges are scanned
    in CFG edge-topological order; graphs are small enough that the O(ops *
-   edges) scan with O(1) reachability queries is cheap.  The unpinned
-   result is cached with the adjacency (every scheduler pass starts from
-   it). *)
+   edges) scan with O(1) reachability queries is cheap.  The scheduler
+   respans after every CFG edge, so the sweeps keep edges as ints (-1 for
+   none yet) and walk lists by plain recursion instead of building
+   per-op filters, closures and options.  The unpinned result is cached
+   with the adjacency (every scheduler pass starts from it). *)
 let spans_with ~pin t =
   let cfg = t.cfg in
   if not (Cfg.is_sealed cfg) then invalid_arg "Dfg.compute_spans: CFG not sealed";
   let n = op_count t in
   let order = topo_order t in
   let edges_topo = Cfg.forward_edges_topo cfg in
-  let early = Array.make n None and late = Array.make n None in
-  let get_early i = match early.(i) with Some e -> e | None -> assert false in
-  let get_late i = match late.(i) with Some e -> e | None -> assert false in
+  let edges_rev = List.rev edges_topo in
+  let early = Array.make n (-1) and late = Array.make n (-1) in
+  let edge i = Cfg.Edge_id.of_int i in
   let a = adjacency t in
-  (* Earlies, forward. *)
+  let const_op p = is_const (Vec.get t.ops_v (Op_id.to_int p)) in
+  (* Earlies, forward: the first edge dominating the birth edge that every
+     non-constant forward predecessor's early edge reaches. *)
+  let rec preds_reach e = function
+    | [] -> true
+    | p :: rest ->
+      (const_op p || Cfg.reaches cfg (edge early.(Op_id.to_int p)) e) && preds_reach e rest
+  in
+  let rec first_early birth ps = function
+    | [] -> birth
+    | e :: rest ->
+      if Cfg.edge_dominates cfg e birth && preds_reach e ps then e
+      else first_early birth ps rest
+  in
   List.iter
     (fun id ->
       let i = Op_id.to_int id in
@@ -265,28 +280,24 @@ let spans_with ~pin t =
         match pin id with
         | Some pinned -> pinned
         | None ->
-          if o.fixed || is_const o then o.birth
-          else begin
-            let ps =
-              List.filter
-                (fun p -> not (is_const (Vec.get t.ops_v (Op_id.to_int p))))
-                a.fwd_pred.(i)
-            in
-            if ps = [] then o.birth
-            else begin
-              let ok e =
-                Cfg.edge_dominates cfg e o.birth
-                && List.for_all (fun p -> Cfg.reaches cfg (get_early (Op_id.to_int p)) e) ps
-              in
-              match List.find_opt ok edges_topo with
-              | Some e -> e
-              | None -> o.birth
-            end
-          end
+          let ps = a.fwd_pred.(i) in
+          if o.fixed || is_const o || List.for_all const_op ps then o.birth
+          else first_early o.birth ps edges_topo
       in
-      early.(i) <- Some e)
+      early.(i) <- Cfg.Edge_id.to_int e)
     order;
-  (* Lates, backward. *)
+  (* Lates, backward: the last edge sink-reachable from the birth edge
+     that reaches every forward successor's late edge. *)
+  let rec succs_reached e = function
+    | [] -> true
+    | s :: rest -> Cfg.reaches cfg e (edge late.(Op_id.to_int s)) && succs_reached e rest
+  in
+  let rec last_late birth ss = function
+    | [] -> birth
+    | e :: rest ->
+      if Cfg.sink_reaches cfg birth e && succs_reached e ss then e
+      else last_late birth ss rest
+  in
   List.iter
     (fun id ->
       let i = Op_id.to_int id in
@@ -301,21 +312,12 @@ let spans_with ~pin t =
                sinking them into a conditional branch would skip the update
                on the other branch.  Keep them on their birth edge. *)
             o.birth
-          else begin
-            let ss = a.fwd_succ.(i) in
-            let ok e =
-              Cfg.sink_reaches cfg o.birth e
-              && List.for_all (fun s -> Cfg.reaches cfg e (get_late (Op_id.to_int s))) ss
-            in
-            match List.find_opt ok (List.rev edges_topo) with
-            | Some e -> e
-            | None -> o.birth
-          end
+          else last_late o.birth a.fwd_succ.(i) edges_rev
       in
-      late.(i) <- Some e)
+      late.(i) <- Cfg.Edge_id.to_int e)
     (List.rev order);
   Array.init n (fun i ->
-      let e = get_early i and l = get_late i in
+      let e = edge early.(i) and l = edge late.(i) in
       (* A span must be internally consistent; fall back to the birth edge
          if pinning produced an inverted window. *)
       if Cfg.reaches cfg e l then { early = e; late = l }

@@ -311,6 +311,9 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
         set_targets_from (fun o -> Interval.lo (ranges o));
         List.iter (fun o -> priorities.(Dfg.Op_id.to_int o) <- mobility o) ops));
     ignore !pre_budget_error;
+    (* The resource groups and their sizes depend only on the DFG and the
+       sharing policy, so one list serves every relaxation attempt. *)
+    let groups = groups config.sharing dfg in
     (* Instance counts per (kind, width) group, learned across relaxation
        attempts; the allocation is rebuilt from them before every pass. *)
     let counts : (Resource_kind.t * int, int ref) Hashtbl.t = Hashtbl.create 8 in
@@ -322,7 +325,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
           | Slack_based -> slack_instance_count ?ii cfg spans0 gops
         in
         Hashtbl.replace counts (rk, width) (ref c))
-      (groups config.sharing dfg);
+      groups;
     (* Grade-decay knob: when a pass fails on timing (a slow producer
        exhausted a consumer's window) and adding resources cannot help,
        every target is pulled toward the fast end and the pass restarts —
@@ -351,7 +354,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
           for _ = 1 to c do
             ignore (Alloc.add_instance alloc ~rk ~width ~delay:grade)
           done)
-        (groups config.sharing dfg);
+        groups;
       alloc
     in
     (* After-edge work: the slack flow respans and, unless ablated,
@@ -518,7 +521,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
                           bop.Dfg.width = width
                           && Resource_kind.of_op_kind bop.Dfg.kind = Some rk)
                         gops)
-                    (groups config.sharing dfg)
+                    groups
                 with
                 | Some (key, _) -> Some key
                 | None -> group_key config.sharing dfg op)
@@ -527,8 +530,9 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
             match key with
             | Some key ->
               let group_size =
-                List.length
-                  (List.filter (fun o -> group_key config.sharing dfg o = Some key) ops)
+                match List.assoc_opt key groups with
+                | Some gops -> List.length gops
+                | None -> 0
               in
               let c =
                 match Hashtbl.find_opt counts key with

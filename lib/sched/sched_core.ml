@@ -26,16 +26,16 @@ exception Fail of failure
 
 let eps = 1e-6
 
-(* Why a placement attempt was deferred.  Most deferrals are transient
-   (the op is retried on a later edge of its span), so the blame walk that
-   a failure report needs is only done when a deferral on the last span
-   edge turns into a failure ([reason_of] in [run]). *)
-type defer =
-  | Busy of Resource_kind.t * int  (** every compatible instance is booked *)
-  | Slow of float  (** no instance fits this window *)
+(* Outcome of one placement attempt.  Most deferrals are transient (the op
+   is retried on a later edge of its span), so a deferral carries no
+   payload: the details a failure report needs — the group, the window
+   (kept in [last_window]), the blame walk — are assembled in [reason_of]
+   only when a deferral on the last span edge turns into a failure. *)
+type attempt =
+  | Placed
+  | Busy  (** every compatible instance is booked *)
+  | Slow  (** no instance fits this window *)
   | Starved  (** the ready time leaves no window *)
-
-type attempt = Placed | Defer of defer
 
 (* Telemetry (paper §VI, Fig. 8): per-CFG-edge scheduler events.  Deferral
    counters split by reason so a failing run's event stream shows whether
@@ -53,24 +53,75 @@ let c_respans = Obs.counter "sched.respans"
 let c_failures = Obs.counter "sched.failures"
 let c_retime_repairs = Obs.counter "sched.retime_repairs"
 
-let count_defer = function
-  | Busy _ -> Obs.incr c_defer_res
-  | Slow _ -> Obs.incr c_defer_slow
+let count_attempt = function
+  | Placed -> Obs.incr c_placements
+  | Busy -> Obs.incr c_defer_res
+  | Slow -> Obs.incr c_defer_slow
   | Starved -> Obs.incr c_defer_time
 
+(* [a.(lo .. hi-1)] sorted in place by the strict total order [lt], with
+   [tmp] as the merge buffer.  Ready sets are mostly a handful of ops, which
+   the insertion sort handles alone.  Top-level functions, so a sort
+   allocates no closures. *)
+let insertion_sort lt a lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && lt x a.(!j) do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+let rec merge_sort lt a tmp lo hi =
+  if hi - lo <= 16 then insertion_sort lt a lo hi
+  else begin
+    let mid = (lo + hi) / 2 in
+    merge_sort lt a tmp lo mid;
+    merge_sort lt a tmp mid hi;
+    Array.blit a lo tmp lo (hi - lo);
+    let i = ref lo and j = ref mid in
+    for k = lo to hi - 1 do
+      if !j >= hi || (!i < mid && not (lt tmp.(!j) tmp.(!i))) then begin
+        a.(k) <- tmp.(!i);
+        incr i
+      end
+      else begin
+        a.(k) <- tmp.(!j);
+        incr j
+      end
+    done
+  end
+
+(* The per-edge work below runs ~15k passes per corpus sweep and must not
+   allocate beyond the placements it records: on OCaml 5 every minor
+   collection stops all domains, so garbage here is what limits parallel
+   exploration (DESIGN.md §7).  Candidates and the ready set live in
+   per-pass [int]-backed arrays, the walks over preds and bookings are
+   plain recursions, and float accumulators are local refs (unboxed). *)
 let run dfg ~alloc params =
   Obs.incr c_runs;
   let cfg = Dfg.cfg dfg in
   let sched = Schedule.create ?ii:params.ii dfg ~clock:params.clock ~alloc in
   let budget = Schedule.step_budget sched in
+  let pipelined = Option.is_some params.ii in
   let pin o =
     Option.map (fun p -> p.Schedule.edge) (Schedule.placement sched o)
   in
   let spans = ref (Dfg.compute_spans dfg) in
-  (* Ops bound to each instance so far (instances are not added during a
-     pass). *)
-  let fanin = Array.make (Alloc.count alloc) 0 in
-  let fanin_of id = fanin.(Alloc.Inst_id.to_int id) in
+  let n = Dfg.op_count dfg in
+  let idx = Dfg.Op_id.to_int in
+  (* Instances are not added during a pass, and an instance's position is
+     its id; [fanin] counts the ops bound to each so far. *)
+  let insts = Array.of_list (Alloc.instances alloc) in
+  let fanin = Array.make (Array.length insts) 0 in
+  (* Mux steering penalty of one more input on an instance already bound
+     to [k] ops, for every reachable [k]. *)
+  let mux_pen =
+    let lib = Alloc.library alloc in
+    Array.init (n + 1) (fun k -> Library.mux_delay lib ~inputs:(k + 1))
+  in
   let active o =
     match (Dfg.op dfg o).Dfg.kind with Dfg.Const _ -> false | _ -> true
   in
@@ -78,38 +129,80 @@ let run dfg ~alloc params =
   let topo = Dfg.topo_order dfg in
   (* Ready worklist: an op is only a ready candidate once every forward
      predecessor is placed, so each ready sweep scans just the unplaced
-     ops whose count of unplaced predecessors is zero ([candidates];
-     placed ones are pruned at the next sweep). *)
-  let waiting = Array.make (Dfg.op_count dfg) 0 in
+     ops whose count of unplaced predecessors is zero ([cand]; placed ones
+     are pruned at the next sweep).  An op joins at most once. *)
+  let waiting = Array.make n 0 in
   List.iter
     (fun o ->
       List.iter
-        (fun p ->
-          if not (Schedule.is_placed sched p) then
-            waiting.(Dfg.Op_id.to_int o) <- waiting.(Dfg.Op_id.to_int o) + 1)
+        (fun p -> if not (Schedule.is_placed sched p) then waiting.(idx o) <- waiting.(idx o) + 1)
         (Dfg.preds dfg o))
     active_ops;
-  let candidates =
-    ref (List.filter (fun o -> waiting.(Dfg.Op_id.to_int o) = 0) active_ops)
+  let cand = Array.make n (Dfg.Op_id.of_int 0) and ncand = ref 0 in
+  let push_cand o =
+    cand.(!ncand) <- o;
+    incr ncand
   in
-  (* Compatible instances per (kind, width), in instance order; grades
-     change during the pass, so each placement sorts afresh. *)
-  let compat = Hashtbl.create 8 in
-  let compatible_insts (op : Dfg.op) =
-    let key = (op.Dfg.kind, op.Dfg.width) in
-    match Hashtbl.find_opt compat key with
-    | Some l -> l
-    | None ->
-      let l =
-        List.filter
-          (fun i -> Alloc.compatible i ~op_kind:op.Dfg.kind ~width:op.Dfg.width)
-          (Alloc.instances alloc)
-      in
-      Hashtbl.add compat key l;
-      l
+  List.iter (fun o -> if waiting.(idx o) = 0 then push_cand o) active_ops;
+  let rec release = function
+    | [] -> ()
+    | s :: rest ->
+      let j = idx s in
+      waiting.(j) <- waiting.(j) - 1;
+      if waiting.(j) = 0 then push_cand s;
+      release rest
   in
-  let span_of o = (!spans).(Dfg.Op_id.to_int o) in
-  let mux_pen inputs = Library.mux_delay (Alloc.library alloc) ~inputs in
+  (* The ready set of one sweep and its sort keys: late-edge index, then
+     priority, then op id — a total order, so the result does not depend
+     on the order of [cand]. *)
+  let ready = Array.make n (Dfg.Op_id.of_int 0) and sort_tmp = Array.make n (Dfg.Op_id.of_int 0) in
+  let late_key = Array.make n 0 and prio_key = Array.make n 0.0 in
+  let ready_lt a b =
+    let ia = idx a and ib = idx b in
+    let la = late_key.(ia) and lb = late_key.(ib) in
+    if la <> lb then la < lb
+    else
+      match Float.compare prio_key.(ia) prio_key.(ib) with 0 -> ia < ib | c -> c < 0
+  in
+  (* Compatible instances of each op, as positions in instance order. *)
+  let compat =
+    let by_key = Hashtbl.create 8 in
+    let all = List.init (Array.length insts) Fun.id in
+    let arr = Array.make n [||] in
+    List.iter
+      (fun o ->
+        let op = Dfg.op dfg o in
+        let key = (op.Dfg.kind, op.Dfg.width) in
+        arr.(idx o) <-
+          (match Hashtbl.find_opt by_key key with
+          | Some c -> c
+          | None ->
+            let c =
+              Array.of_list
+                (List.filter
+                   (fun k ->
+                     Alloc.compatible insts.(k) ~op_kind:op.Dfg.kind ~width:op.Dfg.width)
+                   all)
+            in
+            Hashtbl.add by_key key c;
+            c))
+      active_ops;
+    arr
+  in
+  (* Free instances of the current attempt, for the upgrade scan. *)
+  let free = Array.make (Array.length insts) 0 in
+  (* The window of the last [Slow] deferral (a float array cell: storing
+     into it does not allocate). *)
+  let last_window = Array.make 1 0.0 in
+  let span_of o = (!spans).(idx o) in
+  (* Instance selection order: cheapest (slowest) grade first; among equal
+     grades the emptiest instance, so sharing — and its mux penalty —
+     spreads; then instance order.  [precedes a b]: [a] comes first. *)
+  let precedes a b =
+    match Float.compare insts.(b).Alloc.point.Curve.delay insts.(a).Alloc.point.Curve.delay with
+    | 0 -> ( match Int.compare fanin.(a) fanin.(b) with 0 -> a < b | c -> c < 0)
+    | c -> c < 0
+  in
   (* When an operation starves (its producers finish too late for any
      window to remain), the actionable bottleneck is usually a resource
      group several chain links upstream.  Walk the latest-finishing
@@ -144,154 +237,149 @@ let run dfg ~alloc params =
      forward predecessor is placed with its value available here, and
      under pipelining no already-placed loop-carried partner's recurrence
      window is violated by this step. *)
-  let lc_ok o step =
-    List.for_all
-      (fun (p, lc) ->
-        (not lc)
-        ||
-        match Schedule.placement sched p with
-        | Some pp -> Schedule.lc_step_ok sched ~producer_step:pp.Schedule.step ~consumer_step:step
-        | None -> true)
-      (Dfg.all_preds dfg o)
-    && List.for_all
-         (fun (c, lc) ->
-           (not lc)
-           ||
-           match Schedule.placement sched c with
-           | Some pc -> Schedule.lc_step_ok sched ~producer_step:step ~consumer_step:pc.Schedule.step
-           | None -> true)
-         (Dfg.all_succs dfg o)
+  let rec preds_ready e step = function
+    | [] -> true
+    | p :: rest -> (
+      match Schedule.placement sched p with
+      | None -> false
+      | Some pp ->
+        (pp.Schedule.step < step || Cfg.reaches cfg pp.Schedule.edge e)
+        && preds_ready e step rest)
+  in
+  let rec lc_preds_ok step = function
+    | [] -> true
+    | (p, lc) :: rest ->
+      (match Schedule.placement sched p with
+      | Some pp when lc ->
+        Schedule.lc_step_ok sched ~producer_step:pp.Schedule.step ~consumer_step:step
+      | Some _ | None -> true)
+      && lc_preds_ok step rest
+  in
+  let rec lc_succs_ok step = function
+    | [] -> true
+    | (c, lc) :: rest ->
+      (match Schedule.placement sched c with
+      | Some pc when lc ->
+        Schedule.lc_step_ok sched ~producer_step:step ~consumer_step:pc.Schedule.step
+      | Some _ | None -> true)
+      && lc_succs_ok step rest
   in
   let ready_on o e step =
     let s = span_of o in
     Cfg.reaches cfg s.Dfg.early e
     && Cfg.reaches cfg e s.Dfg.late
-    && List.for_all
-         (fun p ->
-           match Schedule.placement sched p with
-           | None -> false
-           | Some pp -> pp.Schedule.step < step || Cfg.reaches cfg pp.Schedule.edge e)
-         (Dfg.preds dfg o)
-    && lc_ok o step
+    && preds_ready e step (Dfg.preds dfg o)
+    && ((not pipelined)
+       || (lc_preds_ok step (Dfg.all_preds dfg o) && lc_succs_ok step (Dfg.all_succs dfg o)))
   in
-  let ready_time o step =
-    List.fold_left
-      (fun acc p ->
-        match Schedule.placement sched p with
-        | Some pp when pp.Schedule.step = step ->
-          Float.max acc (pp.Schedule.start +. pp.Schedule.eff_delay)
-        | Some _ | None -> acc)
-      0.0 (Dfg.preds dfg o)
+  let place o e ~start c =
+    let inst = insts.(c) in
+    let eff = inst.Alloc.point.Curve.delay +. mux_pen.(fanin.(c)) in
+    Schedule.place sched o ~edge:e ~start ~eff_delay:eff ~inst:(Some inst.Alloc.id);
+    fanin.(c) <- fanin.(c) + 1;
+    release (Dfg.succs dfg o);
+    Placed
   in
   let try_place_raw o e step =
-    let op = Dfg.op dfg o in
-    let rt = ready_time o step in
+    (* Ready time: the latest finish among same-step producers. *)
+    let rt = ref 0.0 in
+    let ps = ref (Dfg.preds dfg o) in
+    while !ps != [] do
+      match !ps with
+      | [] -> ()
+      | p :: rest -> (
+        ps := rest;
+        match Schedule.placement sched p with
+        | Some pp when pp.Schedule.step = step ->
+          rt := Float.max !rt (pp.Schedule.start +. pp.Schedule.eff_delay)
+        | Some _ | None -> ())
+    done;
+    let rt = !rt in
     let window = budget -. rt in
-    if window < -.eps then Defer Starved
+    if window < -.eps then Starved
     else begin
+      (* One scan in instance order keeps, under the selection order, the
+         first fitting instance not slower than the budgeted target (the
+         cheapest honouring the plan) and the last fitting one (the
+         fastest, taken when every fitting instance is slower than the
+         target, to leave room for chained consumers). *)
+      let cs = compat.(idx o) in
+      let nfree = ref 0 and near = ref (-1) and last_fit = ref (-1) in
+      let target = ref 0.0 and have_target = ref false in
+      for k = 0 to Array.length cs - 1 do
+        let c = cs.(k) in
+        if not (Schedule.conflicts sched insts.(c).Alloc.id ~edge:e) then begin
+          free.(!nfree) <- c;
+          incr nfree;
+          let d = insts.(c).Alloc.point.Curve.delay in
+          if d +. mux_pen.(fanin.(c)) <= window +. eps then begin
+            if !last_fit < 0 || precedes !last_fit c then last_fit := c;
+            if not !have_target then begin
+              target := params.target o;
+              have_target := true
+            end;
+            if d <= !target +. 1.0 && (!near < 0 || precedes c !near) then near := c
+          end
+        end
+      done;
+      let missed =
+        if !nfree = 0 then Busy else if window <= eps then Starved else Slow
+      in
+      let outcome =
+        if !last_fit >= 0 then place o e ~start:rt (if !near >= 0 then !near else !last_fit)
+        else if params.upgrade_on_miss && !nfree > 0 then begin
+          (* Upgrade the viable instance whose area damage is smallest, the
+             first in selection order among equals (areas are finite). *)
+          let best = ref (-1) and best_cost = ref 0.0 in
+          for k = 0 to !nfree - 1 do
+            let c = free.(k) in
+            let inst = insts.(c) in
+            let pen = mux_pen.(fanin.(c)) in
+            if Curve.min_delay inst.Alloc.curve +. pen <= window +. eps then begin
+              let cost =
+                Curve.area_at inst.Alloc.curve (window -. pen) -. inst.Alloc.point.Curve.area
+              in
+              if !best < 0 || cost < !best_cost || (cost = !best_cost && precedes c !best)
+              then begin
+                best := c;
+                best_cost := cost
+              end
+            end
+          done;
+          if !best < 0 then missed
+          else begin
+            let c = !best in
+            let needed = window -. mux_pen.(fanin.(c)) in
+            if Alloc.upgrade_to_fit alloc insts.(c).Alloc.id ~max_delay:needed then begin
+              Obs.incr c_upgrades;
+              place o e ~start:rt c
+            end
+            else Slow
+          end
+        end
+        else missed
+      in
+      (match outcome with Slow -> last_window.(0) <- window | Placed | Busy | Starved -> ());
+      outcome
+    end
+  in
+  let try_place o e step =
+    let a = try_place_raw o e step in
+    count_attempt a;
+    a
+  in
+  let reason_of o step = function
+    | Busy ->
+      let op = Dfg.op dfg o in
       let rk =
         match Resource_kind.of_op_kind op.Dfg.kind with
         | Some rk -> rk
         | None -> assert false (* constants never reach try_place *)
       in
-      let free =
-        List.filter
-          (fun c -> not (Schedule.conflicts sched c.Alloc.id ~edge:e))
-          (compatible_insts op)
-      in
-      (* Cheapest (slowest) grade first; among equal grades prefer the
-         emptiest instance so sharing — and its mux penalty — spreads;
-         then instance order. *)
-      let free =
-        List.stable_sort
-          (fun a b ->
-            match Float.compare b.Alloc.point.Curve.delay a.Alloc.point.Curve.delay with
-            | 0 -> Int.compare (fanin_of a.Alloc.id) (fanin_of b.Alloc.id)
-            | c -> c)
-          free
-      in
-      let eff_of c = c.Alloc.point.Curve.delay +. mux_pen (fanin_of c.Alloc.id + 1) in
-      let fitting = List.filter (fun c -> eff_of c <= window +. eps) free in
-      let do_place c =
-        let eff = eff_of c in
-        Schedule.place sched o ~edge:e ~start:rt ~eff_delay:eff ~inst:(Some c.Alloc.id);
-        let k = Alloc.Inst_id.to_int c.Alloc.id in
-        fanin.(k) <- fanin.(k) + 1;
-        List.iter
-          (fun s ->
-            let j = Dfg.Op_id.to_int s in
-            waiting.(j) <- waiting.(j) - 1;
-            if waiting.(j) = 0 then candidates := s :: !candidates)
-          (Dfg.succs dfg o);
-        Placed
-      in
-      let miss () =
-        if free = [] then Defer (Busy (rk, op.Dfg.width))
-        else if window <= eps then Defer Starved
-        else Defer (Slow window)
-      in
-      match fitting with
-      | _ :: _ ->
-        (* Prefer the slowest instance not slower than the budgeted target
-           (cheapest honouring the plan); if every fitting instance is
-           slower than the target, take the fastest fitting one to leave
-           room for chained consumers. *)
-        let target = params.target o in
-        let near = List.filter (fun c -> c.Alloc.point.Curve.delay <= target +. 1.0) fitting in
-        (match near with
-        | c :: _ -> do_place c
-        | [] -> do_place (List.nth fitting (List.length fitting - 1)))
-      | [] ->
-        if params.upgrade_on_miss then begin
-          let viable =
-            List.filter
-              (fun c ->
-                Curve.min_delay c.Alloc.curve +. mux_pen (fanin_of c.Alloc.id + 1)
-                <= window +. eps)
-              free
-          in
-          match viable with
-          | [] -> miss ()
-          | _ :: _ ->
-            (* Upgrade the instance whose area damage is smallest. *)
-            let cost c =
-              let needed = window -. mux_pen (fanin_of c.Alloc.id + 1) in
-              Curve.area_at c.Alloc.curve needed -. c.Alloc.point.Curve.area
-            in
-            let best =
-              List.fold_left
-                (fun acc c ->
-                  match acc with
-                  | None -> Some c
-                  | Some b -> if cost c < cost b then Some c else acc)
-                None viable
-            in
-            (match best with
-            | Some c ->
-              let needed = window -. mux_pen (fanin_of c.Alloc.id + 1) in
-              if Alloc.upgrade_to_fit alloc c.Alloc.id ~max_delay:needed then begin
-                Obs.incr c_upgrades;
-                do_place c
-              end
-              else Defer (Slow window)
-            | None -> Defer (Slow window))
-        end
-        else miss ()
-    end
-  in
-  let try_place o e step =
-    match try_place_raw o e step with
-    | Placed ->
-      Obs.incr c_placements;
-      Placed
-    | Defer d as a ->
-      count_defer d;
-      a
-  in
-  let reason_of o step = function
-    | Busy (rk, width) -> No_resource { op = o; rk; width }
-    | Slow window -> Too_slow { op = o; window; blame = blame_for o step }
+      No_resource { op = o; rk; width = op.Dfg.width }
+    | Slow -> Too_slow { op = o; window = last_window.(0); blame = blame_for o step }
     | Starved -> No_time { op = o; blame = blame_for o step }
+    | Placed -> assert false (* only deferrals fail *)
   in
   let fail op_name reason =
     let message =
@@ -322,77 +410,80 @@ let run dfg ~alloc params =
            ready_set_size;
          })
   in
+  let placed_here = ref 0 and deferred_here = ref 0 in
+  (* One ready sweep over [cand]; true when it placed something. *)
+  let sweep e step =
+    Obs.incr c_sweeps;
+    let kept = ref 0 and nready = ref 0 in
+    for j = 0 to !ncand - 1 do
+      let o = cand.(j) in
+      if not (Schedule.is_placed sched o) then begin
+        cand.(!kept) <- o;
+        incr kept;
+        if ready_on o e step then begin
+          ready.(!nready) <- o;
+          incr nready;
+          late_key.(idx o) <- Cfg.edge_topo_index cfg (span_of o).Dfg.late;
+          prio_key.(idx o) <- params.priority o
+        end
+      end
+    done;
+    ncand := !kept;
+    let nready = !nready in
+    merge_sort ready_lt ready sort_tmp 0 nready;
+    Obs.add c_ready nready;
+    let progress = ref false in
+    for j = 0 to nready - 1 do
+      let o = ready.(j) in
+      if not (Schedule.is_placed sched o) then
+        match try_place o e step with
+        | Placed ->
+          progress := true;
+          incr placed_here;
+          if ev_on () then emit_pick o e step ~ready_set_size:nready
+        | Busy | Slow | Starved -> incr deferred_here
+    done;
+    !progress
+  in
+  (* Paper step (b): an op whose span ends here must be placed.  The sweep
+     follows dependency order so that when a chain is stuck the blocking
+     producer reports its own (actionable) failure before a merely-waiting
+     consumer reports a misleading one. *)
+  let rec force e step = function
+    | [] -> ()
+    | o :: rest ->
+      if
+        active o
+        && (not (Schedule.is_placed sched o))
+        && Cfg.Edge_id.equal (span_of o).Dfg.late e
+      then begin
+        match if ready_on o e step then try_place o e step else Starved with
+        | Placed ->
+          incr placed_here;
+          (* Span-end forced placement: the op was the only candidate. *)
+          if ev_on () then emit_pick o e step ~ready_set_size:1
+        | (Busy | Slow | Starved) as d -> fail (Dfg.op dfg o).Dfg.name (reason_of o step d)
+      end;
+      force e step rest
+  in
+  let schedule_edge e step =
+    placed_here := 0;
+    deferred_here := 0;
+    while sweep e step do
+      ()
+    done;
+    force e step topo;
+    if ev_on () then
+      Obs.Events.emit
+        (Obs.Events.Edge_scheduled
+           { edge = Cfg.Edge_id.to_int e; step; placed = !placed_here; deferred = !deferred_here })
+  in
   try
     List.iter
       (fun e ->
         Obs.incr c_edges;
         let step = Cfg.state_of_edge cfg e in
-        Obs.span "sched.list" (fun () ->
-            let placed_here = ref 0 in
-            let deferred_here = ref 0 in
-            let progress = ref true in
-            while !progress do
-              progress := false;
-              Obs.incr c_sweeps;
-              candidates := List.filter (fun o -> not (Schedule.is_placed sched o)) !candidates;
-              let ready =
-                !candidates
-                |> List.filter (fun o -> ready_on o e step)
-                |> List.sort (fun a b ->
-                       (* Ops whose span ends here go first, then by
-                          priority; the order is total, so it does not
-                          depend on the order of [candidates]. *)
-                       let late_idx o = Cfg.edge_topo_index cfg (span_of o).Dfg.late in
-                       match Int.compare (late_idx a) (late_idx b) with
-                       | 0 -> (
-                         match Float.compare (params.priority a) (params.priority b) with
-                         | 0 -> Dfg.Op_id.compare a b
-                         | c -> c)
-                       | c -> c)
-              in
-              let nready = List.length ready in
-              Obs.add c_ready nready;
-              List.iter
-                (fun o ->
-                  if not (Schedule.is_placed sched o) then
-                    match try_place o e step with
-                    | Placed ->
-                      progress := true;
-                      incr placed_here;
-                      if ev_on () then emit_pick o e step ~ready_set_size:nready
-                    | Defer _ -> incr deferred_here)
-                ready
-            done;
-            (* Paper step (b): an op whose span ends here must be placed.
-               The sweep follows dependency order so that when a chain is
-               stuck the blocking producer reports its own (actionable)
-               failure before a merely-waiting consumer reports a
-               misleading one. *)
-            List.iter
-              (fun o ->
-                if
-                  active o
-                  && (not (Schedule.is_placed sched o))
-                  && Cfg.Edge_id.equal (span_of o).Dfg.late e
-                then begin
-                  match if ready_on o e step then try_place o e step else Defer Starved with
-                  | Placed ->
-                    incr placed_here;
-                    (* Span-end forced placement: the op was the only
-                       candidate. *)
-                    if ev_on () then emit_pick o e step ~ready_set_size:1
-                  | Defer d -> fail (Dfg.op dfg o).Dfg.name (reason_of o step d)
-                end)
-              topo;
-            if ev_on () then
-              Obs.Events.emit
-                (Obs.Events.Edge_scheduled
-                   {
-                     edge = Cfg.Edge_id.to_int e;
-                     step;
-                     placed = !placed_here;
-                     deferred = !deferred_here;
-                   }));
+        Obs.span "sched.list" (fun () -> schedule_edge e step);
         let respan () =
           Obs.incr c_respans;
           spans := Obs.span "sched.respan" (fun () -> Dfg.compute_spans ~pin dfg)

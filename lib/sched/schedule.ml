@@ -96,12 +96,17 @@ let edges_conflict cfg e1 e2 =
 let steps_overlap t a b =
   a = b || (match t.ii with Some k -> a mod k = b mod k | None -> false)
 
+(* A plain recursive walk: the scheduler asks this for every compatible
+   instance of every placement attempt, so it must not allocate. *)
+let rec conflicts_in t cfg step edge = function
+  | [] -> false
+  | p :: rest ->
+    (if p.step = step then edges_conflict cfg p.edge edge else steps_overlap t p.step step)
+    || conflicts_in t cfg step edge rest
+
 let conflicts t inst_id ~edge =
   let cfg = Dfg.cfg t.dfg in
-  let step = Cfg.state_of_edge cfg edge in
-  List.exists
-    (fun p -> if p.step = step then edges_conflict cfg p.edge edge else steps_overlap t p.step step)
-    (booked t inst_id)
+  conflicts_in t cfg (Cfg.state_of_edge cfg edge) edge (booked t inst_id)
 
 let lc_step_ok t ~producer_step ~consumer_step =
   match t.ii with Some k -> producer_step < consumer_step + k | None -> true

@@ -24,14 +24,8 @@ trap cleanup EXIT
 
 GRID="--design fir8 --clocks 2300:2700:200 --flows conv,slack"
 
-wait_sock() {
-  for _ in $(seq 100); do
-    [ -S "$1" ] && return 0
-    sleep 0.1
-  done
-  echo "worker socket $1 never appeared" >&2
-  return 1
-}
+# shellcheck source=serve_ready.sh
+. "$(dirname "$0")/serve_ready.sh"
 
 # Single-process reference frontier.
 # shellcheck disable=SC2086
@@ -39,11 +33,9 @@ wait_sock() {
 
 # ---- phase 1: mid-lease drain is salvaged, reassigned, byte-identical ----
 
-"$HLSC" serve --socket "$DIR/w1.sock" --jobs 1 --drain-after-points 1 \
-  >"$DIR/w1.log" 2>&1 &
-"$HLSC" serve --socket "$DIR/w2.sock" --jobs 2 >"$DIR/w2.log" 2>&1 &
-wait_sock "$DIR/w1.sock"
-wait_sock "$DIR/w2.sock"
+serve_bg "$DIR/w1.log" "$LISTENING" \
+  --socket "$DIR/w1.sock" --jobs 1 --drain-after-points 1
+serve_bg "$DIR/w2.log" "$LISTENING" --socket "$DIR/w2.sock" --jobs 2
 
 # shellcheck disable=SC2086
 "$HLSC" sweep $GRID \
@@ -59,9 +51,8 @@ grep -q "dispatch.salvaged_points" "$DIR/sweep1.stats"
 
 # ---- phase 2: total worker loss -> exit 5 -> resume finishes the tail ----
 
-"$HLSC" serve --socket "$DIR/w3.sock" --jobs 1 --drain-after-points 1 \
-  >"$DIR/w3.log" 2>&1 &
-wait_sock "$DIR/w3.sock"
+serve_bg "$DIR/w3.log" "$LISTENING" \
+  --socket "$DIR/w3.sock" --jobs 1 --drain-after-points 1
 
 set +e
 # shellcheck disable=SC2086

@@ -31,14 +31,8 @@ trap cleanup EXIT
 
 GRID="--design fir8 --clocks 2400:2600:100 --flows conv,slack --ii none,4"
 
-wait_sock() {
-  for _ in $(seq 100); do
-    [ -S "$1" ] && return 0
-    sleep 0.1
-  done
-  echo "worker socket $1 never appeared" >&2
-  return 1
-}
+# shellcheck source=serve_ready.sh
+. "$(dirname "$0")/serve_ready.sh"
 
 # Single-process reference frontier.
 # shellcheck disable=SC2086
@@ -48,12 +42,8 @@ wait_sock() {
 
 run_fleet() {
   out=$1
-  "$HLSC" serve --socket "$DIR/a.sock" --jobs 1 --telemetry \
-    >"$DIR/a.log" 2>&1 &
-  "$HLSC" serve --socket "$DIR/b.sock" --jobs 1 --telemetry \
-    >"$DIR/b.log" 2>&1 &
-  wait_sock "$DIR/a.sock"
-  wait_sock "$DIR/b.sock"
+  serve_bg "$DIR/a.log" "$LISTENING" --socket "$DIR/a.sock" --jobs 1 --telemetry
+  serve_bg "$DIR/b.log" "$LISTENING" --socket "$DIR/b.sock" --jobs 1 --telemetry
   # shellcheck disable=SC2086
   "$HLSC" sweep $GRID \
     --workers "unix:$DIR/a.sock,unix:$DIR/b.sock" \
@@ -96,16 +86,10 @@ grep -q "identical:" "$DIR/diffev.out"
 
 # Port 0: the kernel picks a free port, which the daemon's "metrics on"
 # line names (printed once it is listening, right after the socket).
-"$HLSC" serve --socket "$DIR/m.sock" --jobs 1 --telemetry --metrics 0 \
-  >"$DIR/m.log" 2>&1 &
-wait_sock "$DIR/m.sock"
-PORT=
-for _ in $(seq 100); do
-  PORT=$(sed -n 's|^hlsc serve: metrics on http://127\.0\.0\.1:\([0-9]*\)/metrics$|\1|p' \
-    "$DIR/m.log")
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
+serve_bg "$DIR/m.log" "hlsc serve: metrics on " \
+  --socket "$DIR/m.sock" --jobs 1 --telemetry --metrics 0
+PORT=$(printf '%s\n' "$READY_LINE" |
+  sed -n 's|^hlsc serve: metrics on http://127\.0\.0\.1:\([0-9]*\)/metrics$|\1|p')
 [ -n "$PORT" ] || { echo "no metrics port in m.log" >&2; exit 1; }
 "$HLSC" request --socket "$DIR/m.sock" ping >/dev/null
 
