@@ -1,12 +1,13 @@
-(* Fleet observability overhead (companion to the fleet telemetry PR):
-   the cost of shipping a worker's telemetry — event emission, JSONL
-   serialization, Telemetry.capture + to_json, Prometheus rendering —
-   plus the enabled-vs-disabled wall-clock delta on a real flow, which
-   is the number the "<2% of sweep wall clock" claim rests on.
+(* Fleet observability costs: the per-call price of shipping a worker's
+   telemetry — event emission, JSONL serialization, Telemetry.capture +
+   to_json, Prometheus rendering.  These rows are single-shot figures for
+   orientation; the wall-clock overhead of tracing and journaling is
+   measured with paired trials by perfbench (obs.trace_overhead_pct,
+   journal.overhead_pct).
 
    Every row uses fixed iteration counts (not quota-driven sampling),
    so the counters the measured bodies bump — obs.telemetry.captures,
-   flow counters from the workload runs — stay deterministic and the
+   flow counters from the workload run — stay deterministic and the
    baseline gate can keep its 0% counter tolerance. *)
 
 let fixed_n n f =
@@ -26,8 +27,8 @@ let run_flow d =
   | Ok _ -> ()
   | Error e -> Printf.printf "  fir8 FAILED: %s\n" (Flows.error_message e)
 
-let run ~quick () =
-  Bench_common.section "Fleet observability: telemetry shipping overhead";
+let run () =
+  Bench_common.section "Fleet observability: telemetry shipping cost per call";
   let prof_was = Obs.Prof.enabled () in
   let stats_was = Obs.collecting () in
   (* Mirror `hlsc serve --telemetry`: events + trace + profiling on, then
@@ -76,41 +77,7 @@ let run ~quick () =
       ("telemetry.capture+to_json (trace + 256 events)", cap_full);
       ("expo.render (/metrics scrape)", expo);
     ];
-  (* The headline number.  Shipping a lease's provenance costs one
-     [emit] per decision event while the flow runs plus one JSONL line
-     per event in the reply; everything else (capture, expo) is
-     per-poll, not per-point.  Count the events one flow actually emits
-     (deterministic), price them at the measured per-event rates, and
-     compare against the bare flow's wall clock.  The on/off wall delta
-     is also printed for context — it includes Chrome-trace buffering
-     and span profiling, which a sweep worker only pays under
-     [--telemetry]. *)
-  let reps = if quick then 6 else 20 in
-  Obs.enable_trace ();
-  Obs.Events.enable ();
-  let m = Obs.Events.mark () in
-  run_flow d;
-  let events_per_run = List.length (Obs.Events.since ~mark:m) in
-  let on_ns = fixed_n reps (fun () -> run_flow d) in
   Obs.disable ();
-  Obs.Events.disable ();
   Obs.Prof.disable ();
-  let off_ns = fixed_n reps (fun () -> run_flow d) in
-  let ship_ns = float_of_int events_per_run *. (emit_on +. jsonl) in
-  Printf.printf
-    "\nfir8 slack flow, %d reps: telemetry on %s/run, off %s/run (%+.1f%%\n\
-     full instrumentation: trace + spans + events)\n"
-    reps
-    (Bench_common.pp_ns on_ns)
-    (Bench_common.pp_ns off_ns)
-    ((on_ns -. off_ns) /. off_ns *. 100.0);
-  Printf.printf
-    "shipping (%d events/point emitted + serialized): %s/point — stays\n\
-     under the 2%% sweep-wall budget whenever a point costs over %s of\n\
-     wall on the distributed path (protocol + evaluation; a 2-worker\n\
-     fir8 sweep measures ~85 ms/point, putting shipping near 0.3%%)\n"
-    events_per_run
-    (Bench_common.pp_ns ship_ns)
-    (Bench_common.pp_ns (ship_ns /. 0.02));
   if prof_was then Obs.Prof.enable ();
   if stats_was then Obs.enable_stats ()

@@ -1323,37 +1323,37 @@ module Telemetry = struct
   let rec drop k l =
     if k <= 0 then l else match l with [] -> [] | _ :: t -> drop (k - 1) t
 
+  (* This process's span slices and heap samples, as shippable entries. *)
+  let buffered () =
+    locked (fun () ->
+        ( Vec.fold_left
+            (fun acc (ev : trace_event) ->
+              {
+                t_name = ev.ev_name;
+                t_path = ev.ev_path;
+                t_ts_ns = Int64.to_int ev.ev_ts_ns;
+                t_dur_ns = Int64.to_int ev.ev_dur_ns;
+                t_tid = ev.ev_tid;
+                t_attrs = ev.ev_attrs;
+              }
+              :: acc)
+            [] st.trace_buf
+          |> List.rev,
+          Vec.fold_left
+            (fun acc (g : gc_trace_sample) ->
+              {
+                h_ts_ns = Int64.to_int g.g_ts_ns;
+                h_tid = g.g_tid;
+                h_minor_w = g.g_minor_w;
+                h_major_w = g.g_major_w;
+              }
+              :: acc)
+            [] st.gc_buf
+          |> List.rev ))
+
   let capture ?(events_limit = 4096) ?(include_trace = true) () =
     incr c_captures;
-    let trace, heap =
-      if not include_trace then ([], [])
-      else
-        locked (fun () ->
-            ( Vec.fold_left
-                (fun acc (ev : trace_event) ->
-                  {
-                    t_name = ev.ev_name;
-                    t_path = ev.ev_path;
-                    t_ts_ns = Int64.to_int ev.ev_ts_ns;
-                    t_dur_ns = Int64.to_int ev.ev_dur_ns;
-                    t_tid = ev.ev_tid;
-                    t_attrs = ev.ev_attrs;
-                  }
-                  :: acc)
-                [] st.trace_buf
-              |> List.rev,
-              Vec.fold_left
-                (fun acc (g : gc_trace_sample) ->
-                  {
-                    h_ts_ns = Int64.to_int g.g_ts_ns;
-                    h_tid = g.g_tid;
-                    h_minor_w = g.g_minor_w;
-                    h_major_w = g.g_major_w;
-                  }
-                  :: acc)
-                [] st.gc_buf
-              |> List.rev ))
-    in
+    let trace, heap = if include_trace then buffered () else ([], []) in
     let evs = Events.events () in
     let evs = drop (List.length evs - max 0 events_limit) evs in
     {
@@ -1538,28 +1538,13 @@ module Telemetry = struct
     | s -> Ok s
     | exception Parse_error m -> Error m
 
-  (* One worker's lane of a merged Chrome trace: its span slices and heap
-     samples shifted by the supervisor-estimated clock offset and tagged
-     with a per-worker pid, plus a process_name metadata record so the
-     trace viewer labels the lane. *)
-  let lane_events ~pid ~offset_ns ?process_name s =
+  (* Chrome-trace records: one slice (ph:"X") per span and one counter
+     sample (ph:"C", "heap words") per heap entry, shifted by [offset_ns]
+     and tagged with [pid].  The single renderer behind both a process's
+     own trace file and a lane of a merged fleet trace. *)
+  let chrome_events ~pid ~offset_ns trace heap =
     let open Json in
     let ts ns = Float (float_of_int (ns + offset_ns) /. 1e3) in
-    let meta =
-      match process_name with
-      | None -> []
-      | Some label ->
-        [
-          Obj
-            [
-              ("name", String "process_name");
-              ("ph", String "M");
-              ("pid", Int pid);
-              ("tid", Int 0);
-              ("args", Obj [ ("name", String label) ]);
-            ];
-        ]
-    in
     let slices =
       List.map
         (fun t ->
@@ -1577,7 +1562,7 @@ module Telemetry = struct
                   (("path", String t.t_path)
                   :: List.map (fun (k, v) -> (k, String v)) t.t_attrs) );
             ])
-        s.trace
+        trace
     in
     let heap =
       List.map
@@ -1597,9 +1582,32 @@ module Telemetry = struct
                     ("major_words", Float h.h_major_w);
                   ] );
             ])
-        s.heap
+        heap
     in
-    meta @ slices @ heap
+    slices @ heap
+
+  (* One worker's lane of a merged Chrome trace: its events shifted by the
+     supervisor-estimated clock offset and tagged with a per-worker pid,
+     plus a process_name metadata record so the trace viewer labels the
+     lane. *)
+  let lane_events ~pid ~offset_ns ?process_name s =
+    let open Json in
+    let meta =
+      match process_name with
+      | None -> []
+      | Some label ->
+        [
+          Obj
+            [
+              ("name", String "process_name");
+              ("ph", String "M");
+              ("pid", Int pid);
+              ("tid", Int 0);
+              ("args", Obj [ ("name", String label) ]);
+            ];
+        ]
+    in
+    meta @ chrome_events ~pid ~offset_ns s.trace s.heap
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1775,58 +1783,15 @@ let report () =
 (* ------------------------------------------------------------------ *)
 (* JSON *)
 
+(* The Chrome trace of this process: span slices on one lane per domain,
+   plus the heap-pressure counter lane (ph:"C", one sample per closed span
+   while profiling was on), which Perfetto renders as a stacked area. *)
 let trace_json () =
-  let events =
-    Vec.fold_left
-      (fun acc ev ->
-        let args =
-          Json.Obj
-            (("path", Json.String ev.ev_path)
-            :: List.map (fun (k, v) -> (k, Json.String v)) ev.ev_attrs)
-        in
-        Json.Obj
-          [
-            ("name", Json.String ev.ev_name);
-            ("cat", Json.String "hls");
-            ("ph", Json.String "X");
-            ("ts", Json.Float (Int64.to_float ev.ev_ts_ns /. 1e3));
-            ("dur", Json.Float (Int64.to_float ev.ev_dur_ns /. 1e3));
-            ("pid", Json.Int 1);
-            ("tid", Json.Int ev.ev_tid);
-            ("args", args);
-          ]
-        :: acc)
-      [] st.trace_buf
-    |> List.rev
-  in
-  (* Heap-pressure counter lane (ph:"C"): one sample per closed span while
-     profiling was on; Perfetto renders these as a stacked area chart. *)
-  let heap =
-    Vec.fold_left
-      (fun acc g ->
-        Json.Obj
-          [
-            ("name", Json.String "heap words");
-            ("cat", Json.String "hls");
-            ("ph", Json.String "C");
-            ("ts", Json.Float (Int64.to_float g.g_ts_ns /. 1e3));
-            ("pid", Json.Int 1);
-            ("tid", Json.Int g.g_tid);
-            ( "args",
-              Json.Obj
-                [
-                  ("minor_words", Json.Float g.g_minor_w);
-                  ("major_words", Json.Float g.g_major_w);
-                ] );
-          ]
-        :: acc)
-      [] st.gc_buf
-    |> List.rev
-  in
+  let trace, heap = Telemetry.buffered () in
   Json.to_string
     (Json.Obj
        [
-         ("traceEvents", Json.List (events @ heap));
+         ("traceEvents", Json.List (Telemetry.chrome_events ~pid:1 ~offset_ns:0 trace heap));
          ("displayTimeUnit", Json.String "ms");
        ])
 
